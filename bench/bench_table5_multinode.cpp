@@ -8,13 +8,13 @@
 // compressed SRA across all 16 devices — and carries the headline speedup.
 // "CGX (two-level)" drives the REAL hierarchical path: a CgxEngine with
 // node_of set routes compressed layers through the two-level schedule
-// (intra-node fold, leader-level compressed SRA with re-compression,
-// broadcast), and its comm_plan prices that schedule on this cluster's
-// topology. On Genesis the contended PCIe fabric is WEAKER than the NICs,
-// so flat stays ahead and the mode is opt-in; the regime where two-level
-// wins (fast intra fabric behind slow NICs) is swept by bench_multinode
-// into results/BENCH_multinode.json. Rows go to
-// results/table5_multinode.{csv,json}.
+// (intra-node reduce-scatter, compressed SRA per shard across nodes with
+// re-compression, intra-node allgather), and its comm_plan prices that
+// schedule on this cluster's topology. On Genesis the contended PCIe
+// fabric is WEAKER than the NICs, so flat stays ahead and the mode is
+// opt-in; the regime where two-level wins (fast intra fabric behind slow
+// NICs) is swept by bench_multinode into results/BENCH_multinode.json.
+// Rows go to results/table5_multinode.{csv,json}.
 #include <filesystem>
 #include <fstream>
 

@@ -15,17 +15,16 @@
 //              base+2b for b < kMaxTagBuckets (SRA 210/211, Ring 220/221,
 //              Tree 230/231; bucket 0 == the legacy monolithic tags)
 //   162..193   hierarchical intra-node lane, strided per bucket: bucket b
-//              uses kHierIntraTag + b (one tag per bucket — the member→leader
-//              reduce and the leader→member broadcast travel opposite
-//              directions over the same (src, dst, tag) table, so they never
-//              share a channel)
+//              uses kHierIntraTag + b (one tag per bucket — the
+//              reduce-scatter and the allgather share each channel in
+//              order, see core/hierarchical.cpp)
 //   310        GRACE allgather
 //   310..360   SHADOW: peer-direct acks of the uncompressed collectives
 //              (tag + kDirectAckTagOffset = +200) — nothing else may sit
 //              here, which is what caps the bucket stride region at <300
 //   362..393   SHADOW: peer-direct acks of the hierarchical intra lane
-//   420..483   hierarchical inter-node (leader SRA) lane, strided per
-//              bucket: scatter 420+2b / gather 421+2b. Leaders talk over
+//   420..483   hierarchical inter-node (rail SRA) lane, strided per
+//              bucket: scatter 420+2b / gather 421+2b. Rails talk over
 //              plain channels (never peer-direct — they model the NIC), so
 //              this region needs no ack shadow and may run to the table cap.
 #pragma once
@@ -80,10 +79,10 @@ static_assert(kTreeBcastTag + bucket_tag_offset(kMaxTagBuckets - 1) < 310,
 inline constexpr int kDirectAckTagOffset = 200;
 
 // Hierarchical (two-level) schedule. The intra-node lane carries both the
-// member→leader reduce and the leader→member broadcast: opposite directions
-// on the same tag occupy distinct (src, dst, tag) channels. It may go
-// peer-direct, so its ack shadow (362..393) must stay clear of both the
-// uncompressed shadow (310..360) and the inter-node lane.
+// reduce-scatter and the allgather, each pair's channel in a fixed order
+// (core/hierarchical.cpp). It may go peer-direct, so its ack shadow
+// (362..393) must stay clear of both the uncompressed shadow (310..360)
+// and the inter-node lane.
 inline constexpr int kHierIntraTag = 162;
 inline constexpr int kHierInterScatterTag = 420;
 inline constexpr int kHierInterGatherTag = 421;

@@ -90,19 +90,16 @@ Topology Topology::restrict(std::span<const int> ranks) const {
 Topology::Topology(std::vector<int> node_of) : node_of_(std::move(node_of)) {
   const int world = static_cast<int>(node_of_.size());
   node_index_.assign(node_of_.size(), -1);
-  leader_of_.assign(node_of_.size(), -1);
-  // Dense indices in first-appearance order; the leader of a node is its
-  // first-appearing (lowest) rank. O(world * nodes) scan — worlds here are
-  // a few hundred at most, and this runs once per topology construction.
+  // Dense indices in first-appearance order. O(world * nodes) scan —
+  // worlds here are a few hundred at most, and this runs once per
+  // topology construction.
   for (int r = 0; r < world; ++r) {
     if (node_index_[static_cast<std::size_t>(r)] >= 0) continue;
     const int id = node_of_[static_cast<std::size_t>(r)];
     const int dense = num_nodes_++;
-    leaders_.push_back(r);
     for (int s = r; s < world; ++s) {
       if (node_of_[static_cast<std::size_t>(s)] == id) {
         node_index_[static_cast<std::size_t>(s)] = dense;
-        leader_of_[static_cast<std::size_t>(s)] = r;
       }
     }
   }

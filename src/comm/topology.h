@@ -1,8 +1,8 @@
 // Rank→node placement for the hierarchical (two-level) collectives.
 //
 // A Topology is an immutable map from global rank to node id, plus the
-// derived structure the two-level schedule needs: dense node indices,
-// per-node leaders (lowest rank on the node), and same-node queries.
+// derived structure the two-level schedule needs: dense node indices and
+// same-node queries.
 // Node ids in the input may be arbitrary, non-contiguous integers; they
 // are re-indexed densely in first-appearance order so downstream code
 // can size per-node arrays by num_nodes().
@@ -40,8 +40,7 @@ class Topology {
   // Elastic membership: the topology of the surviving world. `ranks` are
   // the surviving global ranks in ascending order; survivor i of the new
   // (dense) world keeps its old node id, so ranks sharing a node keep
-  // sharing one and a dead node-leader's role falls to the lowest surviving
-  // rank on that node (leaders are always the first-appearing rank).
+  // sharing one (nodes may come out uneven).
   Topology restrict(std::span<const int> ranks) const;
 
   int world_size() const { return static_cast<int>(node_of_.size()); }
@@ -61,22 +60,11 @@ class Topology {
            node_of_[static_cast<std::size_t>(b)];
   }
 
-  // Lowest rank on `rank`'s node — the node leader.
-  int leader(int rank) const {
-    return leader_of_[static_cast<std::size_t>(rank)];
-  }
-  bool is_leader(int rank) const { return leader(rank) == rank; }
-
-  // Leaders in ascending rank order, one per node (dense-index order
-  // coincides because the leader is the first-appearing rank).
-  const std::vector<int>& leaders() const { return leaders_; }
   const std::vector<int>& node_map() const { return node_of_; }
 
  private:
   std::vector<int> node_of_;      // rank -> raw node id
   std::vector<int> node_index_;   // rank -> dense node index
-  std::vector<int> leader_of_;    // rank -> leader rank on its node
-  std::vector<int> leaders_;      // dense node index -> leader rank
   int num_nodes_ = 0;
 };
 

@@ -130,12 +130,11 @@ class AsyncGradientEngine final : public GradientEngine {
   // Takes ownership of the inner engine. Requires fuse_filtered_layers —
   // the streaming plan covers every layer either via a compressed bucket
   // or via the packet. Two-level mode (node_of set) streams too: each
-  // bucket runs hierarchical_begin/finish on its own tag lane, and with
-  // pipelining the NEXT bucket's intra-node fold overlaps the current
-  // bucket's inter-node exchange (the leader's begin of bucket k+1 blocks
-  // only on its members' non-blocking begins, which depend only on their
-  // training threads — never on any finish — so the schedule cannot
-  // deadlock).
+  // bucket runs hierarchical_begin/finish on its own tag lane, and buckets
+  // on different comm lanes overlap. Within a lane it does not pipeline
+  // (CgxEngine::supports_split): a two-level begin waits for its node
+  // peers' begins, and a peer whose lane already entered the previous
+  // bucket's finish would never get to them.
   AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
                       AsyncOptions options = {});
   ~AsyncGradientEngine() override;

@@ -105,8 +105,6 @@ double scheme_egress_bytes(comm::ReductionScheme scheme, std::size_t n,
   return 0.0;
 }
 
-// Cost of the two-level schedule: intra-node member->leader reduce (full
-// precision), compressed SRA among leaders, intra-node broadcast back.
 // Field-wise policy equality for the differential rebuild: a layer whose
 // resolved config is unchanged keeps its warmed compressors (and their
 // error-feedback residuals / PowerSGD warm starts) across rebuild().
@@ -119,32 +117,54 @@ bool same_policy(const LayerCompression& a, const LayerCompression& b) {
          a.dgc_momentum == b.dgc_momentum && a.dgc_clip == b.dgc_clip;
 }
 
+// Cost of the rails schedule (core/hierarchical.h): an FP32 intra-node
+// reduce-scatter in which every rank sends 1/m of the raw layer to each of
+// its m-1 node peers, concurrent compressed SRAs on every shard's rail —
+// all rails of a node share its NIC — and an FP32 allgather that mirrors
+// the reduce-scatter.
 double hierarchical_layer_seconds(const simgpu::CostModel& cost,
                                   const std::vector<int>& node_of,
-                                  double raw_bytes,
-                                  double leader_chunk_wire_bytes) {
-  std::vector<int> leaders;
-  std::vector<int> seen;
+                                  const LayerCompression& cfg,
+                                  std::size_t numel, std::size_t rows) {
+  std::vector<std::vector<int>> nodes;  // ranks per node, first-appearance
+  std::vector<int> ids;
+  std::size_t shards = 0;
   for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    const int node = node_of[static_cast<std::size_t>(r)];
-    if (std::find(seen.begin(), seen.end(), node) == seen.end()) {
-      seen.push_back(node);
-      leaders.push_back(r);
+    const int id = node_of[static_cast<std::size_t>(r)];
+    const auto k = static_cast<std::size_t>(
+        std::find(ids.begin(), ids.end(), id) - ids.begin());
+    if (k == ids.size()) {
+      ids.push_back(id);
+      nodes.emplace_back();
+    }
+    auto& members = nodes[k];
+    members.push_back(r);
+    shards = std::max(shards, members.size());
+  }
+  // A rail chunk is 1/N of a shard, which is 1/S of the layer.
+  const std::size_t parts = shards * nodes.size();
+  const double rail_chunk_wire = static_cast<double>(
+      wire_bytes(cfg, (numel + parts - 1) / parts, rows));
+  std::vector<simgpu::Flow> local, rails;
+  for (const auto& members : nodes) {
+    const double shard = 4.0 * static_cast<double>(numel) /
+                         static_cast<double>(members.size());
+    for (int a : members) {
+      for (int b : members) {
+        if (a != b) local.push_back(simgpu::Flow{a, b, shard});
+      }
     }
   }
-  std::vector<simgpu::Flow> up, down;
-  for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    const int leader = leader_of(node_of, r);
-    if (leader == r) continue;
-    up.push_back(simgpu::Flow{r, leader, raw_bytes});
-    down.push_back(simgpu::Flow{leader, r, raw_bytes});
+  for (std::size_t s = 0; nodes.size() > 1 && s < shards; ++s) {
+    for (const auto& from : nodes) {
+      for (const auto& to : nodes) {
+        if (&from == &to) continue;
+        rails.push_back(simgpu::Flow{from[s % from.size()], to[s % to.size()],
+                                     rail_chunk_wire});
+      }
+    }
   }
-  double total = cost.round_seconds(up) + cost.round_seconds(down);
-  if (leaders.size() > 1) {
-    total += cost.sra_seconds(leaders, leader_chunk_wire_bytes,
-                              leader_chunk_wire_bytes);
-  }
-  return total;
+  return 2.0 * (cost.round_seconds(local) + cost.round_seconds(rails));
 }
 
 }  // namespace
@@ -160,6 +180,7 @@ CgxEngine::CgxEngine(const tensor::LayerLayout& layout,
       options_(options) {
   CGX_CHECK_GT(world_size, 0);
   active_world_ = world_size;
+  hier_.node_of = options_.node_of;
   rebuild();
 }
 
@@ -185,44 +206,54 @@ void CgxEngine::rebuild() {
   if (ranks_.empty()) {
     ranks_.resize(static_cast<std::size_t>(world_size_));
   }
-  hier_.node_of = options_.node_of;
-  hier_.compress_intra = options_.compress_intra;
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     ranks_[r].workspace.set_arena(&util::rank_arena(static_cast<int>(r)));
   }
+  const std::size_t count = chunk_compressor_count();
   for (auto& rank : ranks_) {
     rank.per_layer.resize(layout_.layer_count());
     rank.chunk_ptrs.resize(layout_.layer_count());
     for (std::size_t l = 0; l < layout_.layer_count(); ++l) {
       const LayerCompression& cfg = resolved_[l];
-      auto& chunks = rank.per_layer[l];
-      auto& ptrs = rank.chunk_ptrs[l];
       if (l < previous.size() && same_policy(previous[l], cfg) &&
-          (cfg.method == Method::None
-               ? chunks.empty()
-               : chunks.size() == static_cast<std::size_t>(world_size_))) {
+          rank.per_layer[l].size() ==
+              (cfg.method == Method::None ? 0 : count)) {
         continue;  // unchanged layer keeps its warmed compressors
       }
-      chunks.clear();
-      ptrs.clear();
-      if (cfg.method == Method::None) continue;
-      const std::size_t rows = layout_.layer(l).shape.empty()
-                                   ? 0
-                                   : layout_.layer(l).shape.front();
-      chunks.reserve(static_cast<std::size_t>(world_size_));
-      ptrs.reserve(static_cast<std::size_t>(world_size_));
-      for (int c = 0; c < world_size_; ++c) {
-        chunks.push_back(make_compressor(cfg, rows));
-        if (options_.compression_pool != nullptr) {
-          chunks.back()->enable_threading(
-              options_.compression_pool,
-              options_.compression_threading_min_numel);
-        }
-        ptrs.push_back(chunks.back().get());
-      }
+      reset_compressors(rank, l, count);
     }
   }
   wire_bytes_cached_ = wire_bytes_per_rank(options_.scheme);
+}
+
+std::size_t CgxEngine::chunk_compressor_count() const {
+  // Flat collectives bind one compressor per dense chunk; the two-level
+  // schedule one per (owned shard, rail chunk) of the current topology.
+  return hier_.node_of.empty()
+             ? static_cast<std::size_t>(active_world_)
+             : hierarchical_compressor_count(hier_.node_of);
+}
+
+void CgxEngine::reset_compressors(RankState& rank, std::size_t l,
+                                  std::size_t count) {
+  const LayerCompression& cfg = resolved_[l];
+  auto& chunks = rank.per_layer[l];
+  auto& ptrs = rank.chunk_ptrs[l];
+  chunks.clear();
+  ptrs.clear();
+  if (cfg.method == Method::None) return;
+  const std::size_t rows =
+      layout_.layer(l).shape.empty() ? 0 : layout_.layer(l).shape.front();
+  chunks.reserve(count);
+  ptrs.reserve(count);
+  for (std::size_t c = 0; c < count; ++c) {
+    chunks.push_back(make_compressor(cfg, rows));
+    if (options_.compression_pool != nullptr) {
+      chunks.back()->enable_threading(
+          options_.compression_pool, options_.compression_threading_min_numel);
+    }
+    ptrs.push_back(chunks.back().get());
+  }
 }
 
 void CgxEngine::finish_report(RankState& state) {
@@ -389,50 +420,22 @@ void CgxEngine::apply_view(const comm::WorldView& view) {
   CGX_CHECK_LE(active, world_size_);
   active_world_ = active;
   applied_epoch_ = view.epoch;
-  std::size_t num_leaders = 0;
   if (!options_.node_of.empty()) {
-    // Restrict the launch topology to the survivors: ranks keep their node,
-    // and a dead node-leader's role falls to the lowest surviving rank on
-    // that node (leaders are always the first-appearing rank).
-    comm::Topology restricted =
-        comm::Topology(options_.node_of).restrict(view.active);
-    num_leaders = static_cast<std::size_t>(restricted.num_nodes());
-    hier_.node_of = restricted.node_map();
+    // Restrict the launch topology to the survivors: ranks keep their
+    // node, so a crash can leave nodes uneven and the shard ownership (and
+    // with it the compressor count) follows the survivors.
+    hier_.node_of =
+        comm::Topology(options_.node_of).restrict(view.active).node_map();
   }
-  // Chunk-compressor count the collectives expect in the new world: the
-  // flat SRA binds exactly one compressor per dense chunk; the two-level
-  // schedule additionally needs one per leader chunk plus the intra slot.
-  const std::size_t chunk_count =
-      options_.node_of.empty()
-          ? static_cast<std::size_t>(active)
-          : std::max(static_cast<std::size_t>(active), num_leaders + 1);
+  const std::size_t count = chunk_compressor_count();
   // Fresh compressors for every ACTIVE global rank — the EF-drop contract:
   // the departed rank's residual can never be replayed, and a surviving
   // rank's residual may hold contributions from the aborted attempt, so
   // everyone restarts error feedback from zero. One-shot bounded gradient
   // perturbation, bit-identical across survivors (DESIGN.md §5h).
   for (int g : view.active) {
-    RankState& rank = ranks_[static_cast<std::size_t>(g)];
     for (std::size_t l = 0; l < layout_.layer_count(); ++l) {
-      const LayerCompression& cfg = resolved_[l];
-      auto& chunks = rank.per_layer[l];
-      auto& ptrs = rank.chunk_ptrs[l];
-      chunks.clear();
-      ptrs.clear();
-      if (cfg.method == Method::None) continue;
-      const std::size_t rows =
-          layout_.layer(l).shape.empty() ? 0 : layout_.layer(l).shape.front();
-      chunks.reserve(chunk_count);
-      ptrs.reserve(chunk_count);
-      for (std::size_t c = 0; c < chunk_count; ++c) {
-        chunks.push_back(make_compressor(cfg, rows));
-        if (options_.compression_pool != nullptr) {
-          chunks.back()->enable_threading(
-              options_.compression_pool,
-              options_.compression_threading_min_numel);
-        }
-        ptrs.push_back(chunks.back().get());
-      }
+      reset_compressors(ranks_[static_cast<std::size_t>(g)], l, count);
     }
   }
   wire_bytes_cached_ = wire_bytes_per_rank(options_.scheme);
@@ -495,8 +498,7 @@ void CgxEngine::bucket_begin(comm::Comm& comm, std::span<float> fused,
                              CollectiveWorkspace& ws) {
   RankState& state = ranks_[static_cast<std::size_t>(comm.global_rank())];
   if (!options_.node_of.empty()) {
-    // Two-level begin: intra-node fold to the leader plus the leader
-    // scatter — the half that overlaps the previous bucket's NIC drain.
+    // Two-level begin: intra-node reduce-scatter plus the rail scatter.
     const int bucket = tag_base / comm::kBucketTagStride;
     for (std::size_t l : layers) {
       hierarchical_begin(comm, layout_.slice(fused, l), state.chunk_ptrs[l],
@@ -673,24 +675,9 @@ CommPlan CgxEngine::comm_plan(const simgpu::CostModel& cost,
         compress_kernel_seconds(cfg.method, raw_bytes, compress_gbps);
     if (!options_.node_of.empty()) {
       // Heterogeneous two-level schedule (§4).
-      std::size_t leader_count = 0;
-      {
-        std::vector<int> seen;
-        for (int node : options_.node_of) {
-          if (std::find(seen.begin(), seen.end(), node) == seen.end()) {
-            seen.push_back(node);
-          }
-        }
-        leader_count = seen.size();
-      }
-      const std::size_t leader_chunk_numel =
-          (info.numel + leader_count - 1) / std::max<std::size_t>(1,
-                                                                  leader_count);
-      const double leader_chunk_wire =
-          static_cast<double>(wire_bytes(cfg, leader_chunk_numel, rows));
       plan.per_layer_s[l] =
-          hierarchical_layer_seconds(cost, options_.node_of, raw_bytes,
-                                     leader_chunk_wire) +
+          hierarchical_layer_seconds(cost, options_.node_of, cfg, info.numel,
+                                     rows) +
           0.5 * kernel;
     } else {
       plan.per_layer_s[l] = scheme_seconds(cost, devices, options_.scheme,

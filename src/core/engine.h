@@ -45,14 +45,12 @@ struct EngineOptions {
   // Fuse all full-precision (filtered/small) layers into one packet per
   // step, "communicated uncompressed, in separate packages" (§3).
   bool fuse_filtered_layers = true;
-  // Heterogeneous multi-node mode (§4 "Backend Details"): intra-node
-  // reduction to node leaders (peer-direct where the link allows),
-  // compressed SRA with node-boundary re-compression across nodes.
+  // Heterogeneous multi-node mode (§4 "Backend Details"): FP32 intra-node
+  // reduce-scatter (peer-direct where the link allows), compressed SRA
+  // with node-boundary re-compression along each shard's rail across
+  // nodes, FP32 intra-node allgather (core/hierarchical.h).
   // node_of[rank] -> node id; empty = flat (single-level) communication.
   std::vector<int> node_of;
-  // Compress the intra-node reduce hop too (two-level mode only; see
-  // HierarchicalOptions::compress_intra).
-  bool compress_intra = false;
   // Intra-call bucket parallelism for compression kernels: layers with at
   // least `compression_threading_min_numel` elements split their buckets
   // across this pool (payloads stay bit-identical to the serial path; see
@@ -206,7 +204,8 @@ class CgxEngine final : public GradientEngine {
   // all buckets plus one packet_allreduce is bit-identical to allreduce()
   // given the same per-bucket RNG streams. In two-level mode (node_of set)
   // the bucket runs hierarchical_begin/finish on its own tag lane, so
-  // bucket k+1's intra-node fold overlaps bucket k's inter-node drain.
+  // bucket k+1's reduce-scatter on one comm lane overlaps bucket k's
+  // inter-node drain on another.
   void bucket_begin(comm::Comm& comm, std::span<float> fused,
                     std::span<const std::size_t> layers, util::Rng& rng,
                     int tag_base, CollectiveWorkspace& ws);
@@ -217,13 +216,15 @@ class CgxEngine final : public GradientEngine {
   // (gather -> uncompressed allreduce -> scatter + averaging).
   void packet_allreduce(comm::Comm& comm, std::span<float> fused,
                         CollectiveWorkspace& ws);
-  // True when bucket_begin actually starts work early — flat SRA, or any
-  // two-level schedule (whose begin half is the intra-node reduce plus the
-  // leader scatter): the precondition for compression/transfer pipelining.
+  // True when bucket_begin may run ahead of the previous bucket's finish
+  // on the same comm lane (compression/transfer pipelining): flat SRA,
+  // whose begin half only compresses and sends. A two-level begin waits
+  // for its node peers' begins, so running it ahead could deadlock against
+  // a peer whose lane is still inside the previous bucket's finish.
   bool supports_split() const {
     return options_.scheme ==
-               comm::ReductionScheme::ScatterReduceAllgather ||
-           !options_.node_of.empty();
+               comm::ReductionScheme::ScatterReduceAllgather &&
+           options_.node_of.empty();
   }
 
   // Round-retry recovery protocol, shared with AsyncGradientEngine's
@@ -238,8 +239,8 @@ class CgxEngine final : public GradientEngine {
 
   // Rebuilds this engine's collective plans for a freshly published
   // survivor view: shrinks (or re-expands) the active world, restricts the
-  // two-level topology so a dead node-leader's role falls to the lowest
-  // surviving rank on its node, and gives every surviving rank fresh
+  // two-level topology to the survivors (whose nodes may come out uneven;
+  // shard ownership follows), and gives every surviving rank fresh
   // compressors — deliberately dropping all error-feedback residuals (the
   // departed rank's residual can never be replayed, so survivors take a
   // bounded one-shot gradient perturbation instead of a permanent bias;
@@ -298,6 +299,12 @@ class CgxEngine final : public GradientEngine {
   void finish_report(RankState& state);
   std::chrono::milliseconds derived_recovery_timeout(
       const comm::CommPolicy& pol) const;
+
+  // Compressors each rank binds per compressed layer in the current world.
+  std::size_t chunk_compressor_count() const;
+  // Replaces rank's compressors for layer l with `count` fresh ones (none
+  // for a filtered layer).
+  void reset_compressors(RankState& rank, std::size_t l, std::size_t count);
 
   double layer_wire_bytes(std::size_t layer_index,
                           comm::ReductionScheme scheme, bool compressed) const;

@@ -1,5 +1,6 @@
 #include "core/hierarchical.h"
 
+#include <algorithm>
 #include <array>
 
 #include "comm/tagspace.h"
@@ -16,11 +17,11 @@ constexpr std::size_t kSlotPayload = 0;    // outbound payload (bytes)
 constexpr std::size_t kSlotInPayload = 1;  // inbound payload (bytes)
 constexpr std::size_t kSlotIncoming = 0;   // float accumulation buffer
 
-// Role/topology queries over the raw node_of map. All O(world) / O(world²)
+// Topology queries over the raw node_of map. All O(world) / O(world²)
 // integer scans with no allocation: worlds here are a few hundred at most
 // and every call moves megabytes, so scans are noise — and avoiding
-// materialized leader lists is what keeps the steady state alloc-free.
-bool is_leader_rank(const std::vector<int>& node_of, int q) {
+// materialized rail lists is what keeps the steady state alloc-free.
+bool first_of_node(const std::vector<int>& node_of, int q) {
   const int node = node_of[static_cast<std::size_t>(q)];
   for (int s = 0; s < q; ++s) {
     if (node_of[static_cast<std::size_t>(s)] == node) return false;
@@ -28,305 +29,262 @@ bool is_leader_rank(const std::vector<int>& node_of, int q) {
   return true;
 }
 
-// Index of leader rank `q` among all leaders in ascending rank order.
-int leader_index_of(const std::vector<int>& node_of, int q) {
-  int idx = 0;
-  for (int s = 0; s < q; ++s) {
-    if (is_leader_rank(node_of, s)) ++idx;
-  }
-  return idx;
+int node_size(const std::vector<int>& node_of, int node) {
+  return static_cast<int>(std::count(node_of.begin(), node_of.end(), node));
 }
 
-struct Roles {
-  int n;              // world size
-  int rank;
-  int my_leader;      // leader of this rank's node
-  int num_leaders;    // distinct nodes
-  int my_leader_idx;  // my_leader's position among leaders (SRA chunk id)
-  bool leader;        // rank == my_leader
+// The `local`-th rank (ascending) of node `node`.
+int rank_on_node(const std::vector<int>& node_of, int node, int local) {
+  int seen = 0;
+  for (int q = 0; q < static_cast<int>(node_of.size()); ++q) {
+    if (node_of[static_cast<std::size_t>(q)] == node && seen++ == local) {
+      return q;
+    }
+  }
+  CGX_CHECK(false) << "node " << node << " has no local rank " << local;
+  return -1;
+}
+
+// Calls fn(position, node id, node size) for every node, nodes placed in
+// order of their lowest rank.
+template <typename Fn>
+void for_each_node(const std::vector<int>& node_of, Fn&& fn) {
+  int pos = 0;
+  for (int q = 0; q < static_cast<int>(node_of.size()); ++q) {
+    if (!first_of_node(node_of, q)) continue;
+    const int node = node_of[static_cast<std::size_t>(q)];
+    fn(pos++, node, node_size(node_of, node));
+  }
+}
+
+// This rank's place in the rails partition (see hierarchical.h).
+struct Rails {
+  int node;    // raw node id
+  int m;       // ranks on this node
+  int local;   // this rank's index on its node
+  int shards;  // S: the largest node's size
+  int nodes;   // N: rail width, one member per node
+  int pos;     // this node's position among nodes = its rail chunk index
+
+  bool owns(int s) const { return s % m == local; }
+  // Index of an owned shard among this rank's owned shards.
+  int owned_index(int s) const { return s / m; }
+  int owned_count() const { return (shards - local + m - 1) / m; }
 };
 
-Roles resolve_roles(const comm::Comm& comm, const HierarchicalOptions& o) {
-  Roles roles;
-  roles.n = comm.size();
-  roles.rank = comm.rank();
-  CGX_CHECK_EQ(o.node_of.size(), static_cast<std::size_t>(roles.n));
-  roles.my_leader = leader_of(o.node_of, roles.rank);
-  roles.leader = roles.rank == roles.my_leader;
-  roles.num_leaders = num_leaders(o.node_of);
-  roles.my_leader_idx = leader_index_of(o.node_of, roles.my_leader);
-  return roles;
+Rails resolve_rails(const comm::Comm& comm, const HierarchicalOptions& o) {
+  const std::vector<int>& node_of = o.node_of;
+  CGX_CHECK_EQ(node_of.size(), static_cast<std::size_t>(comm.size()));
+  const int rank = comm.rank();
+  Rails r{};
+  r.node = node_of[static_cast<std::size_t>(rank)];
+  r.m = node_size(node_of, r.node);
+  for (int q = 0; q < rank; ++q) {
+    if (node_of[static_cast<std::size_t>(q)] == r.node) ++r.local;
+  }
+  for_each_node(node_of, [&](int j, int node, int size) {
+    r.shards = std::max(r.shards, size);
+    ++r.nodes;
+    if (node == r.node) r.pos = j;
+  });
+  return r;
 }
 
-Compressor& intra_compressor(std::span<Compressor* const> compressors,
-                             const Roles& roles) {
-  // The intra hop gets its own operator AFTER the leader-chunk bindings so
-  // its error-feedback never mixes with any node-boundary residual. The
-  // slot exists whenever the hop is exercised: a world with members has
-  // num_leaders < world, and engines size the span by world.
-  CGX_CHECK_GT(compressors.size(),
-               static_cast<std::size_t>(roles.num_leaders));
-  return *compressors[static_cast<std::size_t>(roles.num_leaders)];
+std::span<float> shard_of(std::span<float> data, const Rails& r, int s) {
+  const auto [first, last] = comm::chunk_range(data.size(), r.shards, s);
+  return data.subspan(first, last - first);
 }
 
-// The reduce hop may go peer-direct only when the link offers it AND the
-// payload is raw floats (a compressed payload can't ride the pull-add
-// fold). Both endpoints compute the same answer from the same inputs.
-bool direct_reduce_link(comm::Comm& comm, const HierarchicalOptions& o,
-                        int a, int b) {
-  return !o.compress_intra && comm.supports_direct_exchange(a == comm.rank()
-                                                                ? b
-                                                                : a);
+// Node peer holding local index `local` (the owner of a shard, or a
+// receiver of the allgather).
+int node_peer(const HierarchicalOptions& o, const Rails& r, int local) {
+  return rank_on_node(o.node_of, r.node, local);
 }
 
-// ---------------------------------------------------------------- members
+Compressor& rail_compressor(std::span<Compressor* const> compressors,
+                            const Rails& r, int s, int j) {
+  return *compressors[static_cast<std::size_t>(r.owned_index(s) * r.nodes +
+                                               j)];
+}
 
-void member_begin(comm::Comm& comm, std::span<float> data,
-                  std::span<Compressor* const> compressors, util::Rng& rng,
-                  const HierarchicalOptions& options, const Roles& roles,
-                  CollectiveWorkspace& ws, int tag) {
-  if (options.compress_intra) {
-    Compressor& intra = intra_compressor(compressors, roles);
-    const std::span<std::byte> payload =
-        ws.bytes(kSlotPayload, intra.compressed_size(data.size()));
-    const std::size_t written = intra.compress(data, payload, rng);
-    comm.send(roles.my_leader, payload.first(written), tag);
-  } else if (comm.supports_direct_exchange(roles.my_leader)) {
-    // Post the span; the leader folds straight out of our memory. `data`
-    // must stay untouched until the matching direct_wait in finish().
-    comm.direct_post(roles.my_leader, data, tag);
+// Calls fn(q, j) once for every other member q of rail s, j being q's
+// node position, servicing them in arrival order on `tag` when the rail
+// fits the any-source bookkeeping and in node order otherwise.
+template <typename Fn>
+void for_each_rail_peer_by_arrival(comm::Comm& comm,
+                                   const HierarchicalOptions& o,
+                                   const Rails& r, int s, int tag, Fn&& fn) {
+  constexpr auto kCap = static_cast<std::size_t>(comm::kMaxAnySourceWorld);
+  std::array<int, kCap> peers;
+  std::array<int, kCap> positions;
+  std::size_t count = 0;
+  const bool any_source = r.nodes - 1 <= comm::kMaxAnySourceWorld;
+  for_each_node(o.node_of, [&](int j, int node, int size) {
+    if (j == r.pos) return;
+    const int q = rank_on_node(o.node_of, node, s % size);
+    if (any_source) {
+      peers[count] = q;
+      positions[count++] = j;
+    } else {
+      fn(q, j);
+    }
+  });
+  if (any_source) {
+    comm::for_each_by_arrival(comm, {peers.data(), count}, tag, [&](int q) {
+      const auto i = static_cast<std::size_t>(
+          std::find(peers.begin(), peers.begin() + count, q) - peers.begin());
+      fn(q, positions[i]);
+    });
+  }
+}
+
+// ------------------------------------------------------ intra-node hops
+
+// Hands `span` to node peer q: a peer-direct post where the link allows —
+// q reads straight out of our memory, so the span stays untouched until
+// the matching direct_wait — else a buffered channel send.
+void hand_over(comm::Comm& comm, int q, std::span<const float> span,
+               int tag) {
+  if (comm.supports_direct_exchange(q)) {
+    comm.direct_post(q, span, tag);
   } else {
-    comm.send_floats(roles.my_leader, data, tag);
+    comm.send_floats(q, span, tag);
   }
 }
 
-void member_finish(comm::Comm& comm, std::span<float> data,
-                   const HierarchicalOptions& options, const Roles& roles,
-                   int tag) {
-  const bool link_direct = comm.supports_direct_exchange(roles.my_leader);
-  if (!options.compress_intra && link_direct) {
-    // Our reduce post must be consumed before the broadcast may overwrite
-    // the span it points at.
-    comm.direct_wait(roles.my_leader, tag);
-  }
-  if (link_direct) {
-    comm.direct_pull(roles.my_leader, data, /*add=*/false, tag);
-  } else {
-    comm.recv_floats(roles.my_leader, data, tag);
-  }
+// Returns once q has consumed what hand_over gave it.
+void await_handed_over(comm::Comm& comm, int q, int tag) {
+  if (comm.supports_direct_exchange(q)) comm.direct_wait(q, tag);
 }
 
-// ---------------------------------------------------------------- leaders
-
-void leader_fold_members(comm::Comm& comm, std::span<float> data,
-                         std::span<Compressor* const> compressors,
-                         const HierarchicalOptions& options,
-                         const Roles& roles, CollectiveWorkspace& ws,
-                         int tag) {
-  // Members fold in fixed ascending rank order (bit-identical run to run;
-  // intra-node members are symmetric, so arrival-order service would buy
-  // little). Adjacent peer-direct members pair into one direct_pull2 pass —
-  // bit-identical to two sequential pulls by the copy_add2 contract — and a
-  // channel member in between flushes the pending pair first, preserving
-  // the ascending add order.
+// Folds the node peers' copies of owned shard `shard` in fixed ascending
+// local-rank order (bit-identical run to run). Adjacent peer-direct peers
+// pair into one direct_pull2 pass — bit-identical to two sequential pulls
+// by the copy_add2 contract — and a channel peer in between flushes the
+// pending pair first, preserving the ascending add order.
+void fold_shard(comm::Comm& comm, std::span<float> shard,
+                const HierarchicalOptions& o, const Rails& r,
+                CollectiveWorkspace& ws, int tag) {
   int pending = -1;
   const auto flush = [&]() {
     if (pending >= 0) {
-      comm.direct_pull(pending, data, /*add=*/true, tag);
+      comm.direct_pull(pending, shard, /*add=*/true, tag);
       pending = -1;
     }
   };
-  for (int m = 0; m < roles.n; ++m) {
-    if (m == roles.rank ||
-        leader_of(options.node_of, m) != roles.rank) {
-      continue;
-    }
-    if (direct_reduce_link(comm, options, roles.rank, m)) {
+  for (int p = 0; p < r.m; ++p) {
+    if (p == r.local) continue;
+    const int q = node_peer(o, r, p);
+    if (comm.supports_direct_exchange(q)) {
       if (pending < 0) {
-        pending = m;
+        pending = q;
       } else {
-        comm.direct_pull2(pending, m, data, tag);
+        comm.direct_pull2(pending, q, shard, tag);
         pending = -1;
       }
       continue;
     }
     flush();
-    if (options.compress_intra) {
-      Compressor& intra = intra_compressor(compressors, roles);
-      const std::span<std::byte> payload =
-          ws.bytes(kSlotInPayload, intra.compressed_size(data.size()));
-      comm.recv(m, payload, tag);
-      const std::span<float> incoming =
-          ws.floats(kSlotIncoming, data.size());
-      intra.decompress(payload, incoming);
-      tensor::add_inplace(data, incoming);
-    } else if (comm.transport().supports_recv_add()) {
-      comm.recv_add_floats(m, data, tag);
+    if (comm.transport().supports_recv_add()) {
+      comm.recv_add_floats(q, shard, tag);
     } else {
-      const std::span<float> incoming =
-          ws.floats(kSlotIncoming, data.size());
-      comm.recv_floats(m, incoming, tag);
-      tensor::add_inplace(data, incoming);
+      const std::span<float> incoming = ws.floats(kSlotIncoming, shard.size());
+      comm.recv_floats(q, incoming, tag);
+      tensor::add_inplace(shard, incoming);
     }
   }
   flush();
 }
 
-void leader_bcast_members(comm::Comm& comm, std::span<const float> data,
-                          const HierarchicalOptions& options,
-                          const Roles& roles, int tag) {
-  // Post to every member first, then collect the acks: members pull
-  // concurrently instead of serializing on one wait at a time.
-  for (int m = 0; m < roles.n; ++m) {
-    if (m == roles.rank || leader_of(options.node_of, m) != roles.rank) {
-      continue;
-    }
-    if (comm.supports_direct_exchange(m)) {
-      comm.direct_post(m, data, tag);
-    } else {
-      comm.send_floats(m, data, tag);
-    }
-  }
-  for (int m = 0; m < roles.n; ++m) {
-    if (m == roles.rank || leader_of(options.node_of, m) != roles.rank) {
-      continue;
-    }
-    if (comm.supports_direct_exchange(m)) comm.direct_wait(m, tag);
-  }
-}
+// ------------------------------------------------------------- rail SRA
 
-// Leader-level SRA round 1: compress leader-chunk j of the node-aggregated
-// vector with compressor j — the node-boundary re-compression whose
-// error-feedback lives in that leader-level instance — and ship it to
-// aggregator j.
-void leader_scatter(comm::Comm& comm, std::span<float> data,
-                    std::span<Compressor* const> compressors, util::Rng& rng,
-                    const HierarchicalOptions& options, const Roles& roles,
-                    CollectiveWorkspace& ws, int scatter_tag) {
-  const int L = roles.num_leaders;
-  CGX_CHECK_GE(compressors.size(), static_cast<std::size_t>(L));
-  int j = 0;
-  for (int q = 0; q < roles.n; ++q) {
-    if (!is_leader_rank(options.node_of, q)) continue;
-    if (q != roles.rank) {
-      const auto [first, last] = comm::chunk_range(data.size(), L, j);
-      const std::span<const float> chunk = data.subspan(first, last - first);
-      const std::span<std::byte> payload = ws.bytes(
-          kSlotPayload, compressors[static_cast<std::size_t>(j)]
-                            ->compressed_size(chunk.size()));
-      const std::size_t written =
-          compressors[static_cast<std::size_t>(j)]->compress(chunk, payload,
-                                                             rng);
-      comm.send(q, payload.first(written), scatter_tag);
-    }
-    ++j;
-  }
-}
-
-// Leader-level SRA drain: stage the other leaders' contributions to my
-// chunk in arrival order, fold in fixed leader order, re-compress the
-// reduced chunk once, allgather.
-void leader_drain(comm::Comm& comm, std::span<float> data,
+// Rail round 1: compress rail chunk j of the node-reduced shard with its
+// own (shard, chunk) compressor — the node-boundary re-compression whose
+// error feedback lives in that instance — and ship it to node j's member.
+void rail_scatter(comm::Comm& comm, std::span<float> shard, int s,
                   std::span<Compressor* const> compressors, util::Rng& rng,
-                  const HierarchicalOptions& options, const Roles& roles,
-                  CollectiveWorkspace& ws, int scatter_tag, int gather_tag) {
-  const int L = roles.num_leaders;
-  const int me = roles.my_leader_idx;
-  Compressor& mine_comp = *compressors[static_cast<std::size_t>(me)];
+                  const HierarchicalOptions& o, const Rails& r,
+                  CollectiveWorkspace& ws, int tag) {
+  for_each_node(o.node_of, [&](int j, int node, int size) {
+    if (j == r.pos) return;
+    const auto [first, last] = comm::chunk_range(shard.size(), r.nodes, j);
+    const std::span<const float> chunk = shard.subspan(first, last - first);
+    Compressor& comp = rail_compressor(compressors, r, s, j);
+    const std::span<std::byte> payload =
+        ws.bytes(kSlotPayload, comp.compressed_size(chunk.size()));
+    const std::size_t written = comp.compress(chunk, payload, rng);
+    comm.send(rank_on_node(o.node_of, node, s % size),
+              payload.first(written), tag);
+  });
+}
 
-  const auto [mf, ml] = comm::chunk_range(data.size(), L, me);
-  std::span<float> mine = data.subspan(mf, ml - mf);
+// Rail drain: stage the other nodes' contributions to this node's rail
+// chunk in arrival order, fold them in fixed node order, re-compress the
+// reduced chunk once, and allgather the rail's chunks.
+void rail_drain(comm::Comm& comm, std::span<float> shard, int s,
+                std::span<Compressor* const> compressors, util::Rng& rng,
+                const HierarchicalOptions& o, const Rails& r,
+                CollectiveWorkspace& ws, int scatter_tag, int gather_tag) {
+  const int me = r.pos;
+  Compressor& mine_comp = rail_compressor(compressors, r, s, me);
+  const auto [mf, ml] = comm::chunk_range(shard.size(), r.nodes, me);
+  const std::span<float> mine = shard.subspan(mf, ml - mf);
   const std::span<float> staged = ws.floats(
-      kSlotIncoming, static_cast<std::size_t>(L - 1) * mine.size());
+      kSlotIncoming, static_cast<std::size_t>(r.nodes - 1) * mine.size());
   const std::span<std::byte> in_payload =
       ws.bytes(kSlotInPayload, mine_comp.compressed_size(mine.size()));
-  const auto slot_of = [me](int j) {
-    return static_cast<std::size_t>(j < me ? j : j - 1);
+  const auto staged_chunk = [&](int j) {
+    const auto slot = static_cast<std::size_t>(j < me ? j : j - 1);
+    return staged.subspan(slot * mine.size(), mine.size());
   };
-  const auto stage = [&](int q) {
-    const int j = leader_index_of(options.node_of, q);
-    comm.recv(q, in_payload, scatter_tag);
-    mine_comp.decompress(
-        in_payload, staged.subspan(slot_of(j) * mine.size(), mine.size()));
-  };
-
-  std::array<int, static_cast<std::size_t>(comm::kMaxAnySourceWorld)> peers;
-  int peer_count = 0;
-  const bool any_source = L - 1 <= comm::kMaxAnySourceWorld;
-  if (any_source) {
-    for (int q = 0; q < roles.n; ++q) {
-      if (q != roles.rank && is_leader_rank(options.node_of, q)) {
-        peers[static_cast<std::size_t>(peer_count++)] = q;
-      }
-    }
-    comm::for_each_by_arrival(
-        comm, {peers.data(), static_cast<std::size_t>(peer_count)},
-        scatter_tag, stage);
-  } else {
-    for (int q = 0; q < roles.n; ++q) {
-      if (q != roles.rank && is_leader_rank(options.node_of, q)) stage(q);
-    }
-  }
-  for (int j = 0; j < L; ++j) {
-    if (j == me) continue;
-    tensor::add_inplace(
-        mine, staged.subspan(slot_of(j) * mine.size(), mine.size()));
+  for_each_rail_peer_by_arrival(comm, o, r, s, scatter_tag,
+                                [&](int q, int j) {
+                                  comm.recv(q, in_payload, scatter_tag);
+                                  mine_comp.decompress(in_payload,
+                                                       staged_chunk(j));
+                                });
+  for (int j = 0; j < r.nodes; ++j) {
+    if (j != me) tensor::add_inplace(mine, staged_chunk(j));
   }
 
   // Round 2: one re-compression of the fully reduced chunk; everyone —
-  // including this leader, via its own payload — adopts the decompressed
+  // including this rank, via its own payload — adopts the decompressed
   // bytes, so all nodes stay bit-identical.
   const std::span<std::byte> payload =
       ws.bytes(kSlotPayload, mine_comp.compressed_size(mine.size()));
-  const std::size_t written = mine_comp.compress(mine, payload, rng);
-  const std::span<const std::byte> reduced = payload.first(written);
-  for (int q = 0; q < roles.n; ++q) {
-    if (q != roles.rank && is_leader_rank(options.node_of, q)) {
-      comm.send(q, reduced, gather_tag);
+  const std::span<const std::byte> reduced =
+      payload.first(mine_comp.compress(mine, payload, rng));
+  for_each_node(o.node_of, [&](int j, int node, int size) {
+    if (j != me) {
+      comm.send(rank_on_node(o.node_of, node, s % size), reduced, gather_tag);
     }
-  }
+  });
   mine_comp.decompress(reduced, mine);
 
   // Gathered chunks land in disjoint regions: arrival order can't change
   // the final bytes.
-  const auto land = [&](int q) {
-    const int j = leader_index_of(options.node_of, q);
-    const auto [first, last] = comm::chunk_range(data.size(), L, j);
-    std::span<float> chunk = data.subspan(first, last - first);
-    const std::span<std::byte> gathered = ws.bytes(
-        kSlotInPayload, compressors[static_cast<std::size_t>(j)]
-                            ->compressed_size(chunk.size()));
+  for_each_rail_peer_by_arrival(comm, o, r, s, gather_tag, [&](int q, int j) {
+    const auto [first, last] = comm::chunk_range(shard.size(), r.nodes, j);
+    const std::span<float> chunk = shard.subspan(first, last - first);
+    Compressor& comp = rail_compressor(compressors, r, s, j);
+    const std::span<std::byte> gathered =
+        ws.bytes(kSlotInPayload, comp.compressed_size(chunk.size()));
     comm.recv(q, gathered, gather_tag);
-    compressors[static_cast<std::size_t>(j)]->decompress(gathered, chunk);
-  };
-  if (any_source) {
-    comm::for_each_by_arrival(
-        comm, {peers.data(), static_cast<std::size_t>(peer_count)},
-        gather_tag, land);
-  } else {
-    for (int q = 0; q < roles.n; ++q) {
-      if (q != roles.rank && is_leader_rank(options.node_of, q)) land(q);
-    }
-  }
+    comp.decompress(gathered, chunk);
+  });
 }
 
 }  // namespace
 
-int leader_of(const std::vector<int>& node_of, int rank) {
-  CGX_CHECK(rank >= 0 && rank < static_cast<int>(node_of.size()));
-  const int node = node_of[static_cast<std::size_t>(rank)];
-  for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    if (node_of[static_cast<std::size_t>(r)] == node) return r;
-  }
-  return rank;
-}
-
-int num_leaders(const std::vector<int>& node_of) {
-  int count = 0;
-  for (int r = 0; r < static_cast<int>(node_of.size()); ++r) {
-    if (is_leader_rank(node_of, r)) ++count;
-  }
-  return count;
+std::size_t hierarchical_compressor_count(const std::vector<int>& node_of) {
+  int nodes = 0, largest = 0, smallest = 0;
+  for_each_node(node_of, [&](int, int, int size) {
+    largest = std::max(largest, size);
+    smallest = nodes++ == 0 ? size : std::min(smallest, size);
+  });
+  if (nodes == 0) return 0;
+  return static_cast<std::size_t>(nodes) *
+         static_cast<std::size_t>((largest + smallest - 1) / smallest);
 }
 
 void hierarchical_begin(comm::Comm& comm, std::span<float> data,
@@ -335,19 +293,34 @@ void hierarchical_begin(comm::Comm& comm, std::span<float> data,
                         CollectiveWorkspace& ws, int bucket) {
   if (comm.size() == 1 || data.empty()) return;
   CGX_CHECK(bucket >= 0 && bucket < comm::kMaxTagBuckets);
-  CGX_CHECK(!chunk_compressors.empty());
-  const Roles roles = resolve_roles(comm, options);
+  const Rails r = resolve_rails(comm, options);
+  CGX_CHECK_GE(chunk_compressors.size(),
+               static_cast<std::size_t>(r.owned_count() * r.nodes));
   const int intra_tag = comm::hier_intra_tag(bucket);
-  if (!roles.leader) {
-    member_begin(comm, data, chunk_compressors, rng, options, roles, ws,
-                 intra_tag);
-    return;
+  // Reduce-scatter: every shard this rank does not own goes to its owner.
+  for (int s = 0; s < r.shards; ++s) {
+    const std::span<float> shard = shard_of(data, r, s);
+    if (!r.owns(s) && !shard.empty()) {
+      hand_over(comm, node_peer(options, r, s % r.m), shard, intra_tag);
+    }
   }
-  leader_fold_members(comm, data, chunk_compressors, options, roles, ws,
-                      intra_tag);
-  if (roles.num_leaders > 1) {
-    leader_scatter(comm, data, chunk_compressors, rng, options, roles, ws,
+  for (int s = r.local; s < r.shards; s += r.m) {
+    const std::span<float> shard = shard_of(data, r, s);
+    if (shard.empty()) continue;
+    fold_shard(comm, shard, options, r, ws, intra_tag);
+    if (r.nodes > 1) {
+      rail_scatter(comm, shard, s, chunk_compressors, rng, options, r, ws,
                    comm::hier_inter_scatter_tag(bucket));
+    }
+  }
+  // Every owner has folded our posts before begin() returns. The intra
+  // lane carries this reduce-scatter and finish()'s allgather in the same
+  // direction, and their acks are indistinguishable, so a later layer's
+  // posts on this lane must never be outstanding with this one's.
+  for (int s = 0; s < r.shards; ++s) {
+    if (!r.owns(s) && !shard_of(data, r, s).empty()) {
+      await_handed_over(comm, node_peer(options, r, s % r.m), intra_tag);
+    }
   }
 }
 
@@ -357,18 +330,44 @@ void hierarchical_finish(comm::Comm& comm, std::span<float> data,
                          CollectiveWorkspace& ws, int bucket) {
   if (comm.size() == 1 || data.empty()) return;
   CGX_CHECK(bucket >= 0 && bucket < comm::kMaxTagBuckets);
-  const Roles roles = resolve_roles(comm, options);
+  const Rails r = resolve_rails(comm, options);
   const int intra_tag = comm::hier_intra_tag(bucket);
-  if (!roles.leader) {
-    member_finish(comm, data, options, roles, intra_tag);
-    return;
-  }
-  if (roles.num_leaders > 1) {
-    leader_drain(comm, data, chunk_compressors, rng, options, roles, ws,
+  // Owned shards: drain the rail, then hand the reduced shard to the node
+  // (posted right away, so peers can copy it while the next rail drains).
+  for (int s = r.local; s < r.shards; s += r.m) {
+    const std::span<float> shard = shard_of(data, r, s);
+    if (shard.empty()) continue;
+    if (r.nodes > 1) {
+      rail_drain(comm, shard, s, chunk_compressors, rng, options, r, ws,
                  comm::hier_inter_scatter_tag(bucket),
                  comm::hier_inter_gather_tag(bucket));
+    }
+    for (int p = 0; p < r.m; ++p) {
+      if (p != r.local) {
+        hand_over(comm, node_peer(options, r, p), shard, intra_tag);
+      }
+    }
   }
-  leader_bcast_members(comm, data, options, roles, intra_tag);
+  // Intra-node allgather of the shards the node peers own.
+  for (int s = 0; s < r.shards; ++s) {
+    const std::span<float> shard = shard_of(data, r, s);
+    if (r.owns(s) || shard.empty()) continue;
+    const int owner = node_peer(options, r, s % r.m);
+    if (comm.supports_direct_exchange(owner)) {
+      comm.direct_pull(owner, shard, /*add=*/false, intra_tag);
+    } else {
+      comm.recv_floats(owner, shard, intra_tag);
+    }
+  }
+  // Our owned shards must be consumed before the caller may touch `data`.
+  for (int s = r.local; s < r.shards; s += r.m) {
+    if (shard_of(data, r, s).empty()) continue;
+    for (int p = 0; p < r.m; ++p) {
+      if (p != r.local) {
+        await_handed_over(comm, node_peer(options, r, p), intra_tag);
+      }
+    }
+  }
 }
 
 void hierarchical_allreduce(comm::Comm& comm, std::span<float> data,

@@ -26,25 +26,23 @@ TEST(Topology, GroupedBlockPlacement) {
   EXPECT_EQ(topo.node_of(4), 1);
   EXPECT_TRUE(topo.same_node(4, 7));
   EXPECT_FALSE(topo.same_node(3, 4));
-  EXPECT_EQ(topo.leader(6), 4);
-  EXPECT_TRUE(topo.is_leader(4));
-  EXPECT_FALSE(topo.is_leader(5));
-  EXPECT_EQ(topo.leaders(), (std::vector<int>{0, 4}));
+  EXPECT_EQ(topo.node_index(3), 0);
+  EXPECT_EQ(topo.node_index(6), 1);
 }
 
 TEST(Topology, ParseGroupedAndExplicitSpecs) {
   const Topology grid = Topology::parse("4x2", 8);
   EXPECT_EQ(grid.num_nodes(), 4);
   EXPECT_EQ(grid.node_of(5), 2);
-  EXPECT_EQ(grid.leader(5), 4);
+  EXPECT_TRUE(grid.same_node(4, 5));
 
   const Topology list = Topology::parse("0,0,1,1", 4);
   EXPECT_EQ(list.num_nodes(), 2);
-  EXPECT_EQ(list.leader(3), 2);
+  EXPECT_EQ(list.node_of(3), 1);
 
   const Topology flat = Topology::parse("", 4);
   EXPECT_TRUE(flat.is_single_node());
-  EXPECT_EQ(flat.leader(3), 0);
+  EXPECT_EQ(flat.node_of(3), 0);
 }
 
 TEST(Topology, NonContiguousNodeIdsReindexDensely) {
@@ -55,8 +53,6 @@ TEST(Topology, NonContiguousNodeIdsReindexDensely) {
   EXPECT_EQ(topo.node_index(0), 0);
   EXPECT_EQ(topo.node_index(2), 1);
   EXPECT_EQ(topo.node_index(5), 2);
-  EXPECT_EQ(topo.leaders(), (std::vector<int>{0, 2, 4}));
-  EXPECT_EQ(topo.leader(5), 4);
   EXPECT_TRUE(topo.same_node(4, 5));
   EXPECT_FALSE(topo.same_node(1, 2));
 }
@@ -72,7 +68,7 @@ TEST(Topology, FromEnvReadsCgxTopo) {
   ::setenv("CGX_TOPO", "2x2", 1);
   const Topology topo = Topology::from_env(4);
   EXPECT_EQ(topo.num_nodes(), 2);
-  EXPECT_EQ(topo.leader(3), 2);
+  EXPECT_EQ(topo.node_index(3), 1);
   ::unsetenv("CGX_TOPO");
   EXPECT_TRUE(Topology::from_env(4).is_single_node());
 }

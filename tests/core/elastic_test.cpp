@@ -355,7 +355,9 @@ TEST(ElasticRejoin, RestoresTheFullWorldWithIdenticalParameters) {
       [&](const comm::WorldView& v) { engine.apply_view(v); };
 
   std::vector<std::vector<float>> params(static_cast<std::size_t>(kWorld));
-  std::vector<bool> completed(kWorld, false);
+  // One byte per rank: the rank threads write their own slots
+  // concurrently, which std::vector<bool>'s packed bits would race on.
+  std::vector<char> completed(kWorld, 0);
   comm::run_world(
       faulty,
       [&](comm::Comm& comm) {
@@ -385,7 +387,7 @@ TEST(ElasticRejoin, RestoresTheFullWorldWithIdenticalParameters) {
           ++step;
         }
         params[static_cast<std::size_t>(g)] = std::move(p);
-        completed[static_cast<std::size_t>(g)] = true;
+        completed[static_cast<std::size_t>(g)] = 1;
       },
       comm::WorldOptions{&membership});
 

@@ -42,14 +42,17 @@ struct PerRank {
   }
 };
 
-TEST(LeaderOf, LowestRankOfNode) {
-  const std::vector<int> node_of = {0, 0, 1, 1, 0, 2};
-  EXPECT_EQ(leader_of(node_of, 0), 0);
-  EXPECT_EQ(leader_of(node_of, 1), 0);
-  EXPECT_EQ(leader_of(node_of, 2), 2);
-  EXPECT_EQ(leader_of(node_of, 3), 2);
-  EXPECT_EQ(leader_of(node_of, 4), 0);
-  EXPECT_EQ(leader_of(node_of, 5), 5);
+TEST(HierarchicalCompressorCount, OnePerOwnedShardAndRailChunk) {
+  // Nodes x the most shards one rank owns (S = largest node, local rank
+  // s mod m owns shard s): uniform nodes need one per node, a short node
+  // wraps, and node ids are labels placed anywhere in rank order.
+  EXPECT_EQ(hierarchical_compressor_count({0, 0, 0, 0, 1, 1, 1, 1}), 2u);
+  EXPECT_EQ(hierarchical_compressor_count({0, 1, 2, 3}), 4u);
+  EXPECT_EQ(hierarchical_compressor_count({5, 5, 5, 5}), 1u);
+  EXPECT_EQ(hierarchical_compressor_count({0, 0, 1, 1, 0, 2}), 9u);
+  EXPECT_EQ(hierarchical_compressor_count(
+                {0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3}),
+            8u);
 }
 
 TEST(Hierarchical, LosslessMatchesPlainSum) {
@@ -73,17 +76,13 @@ TEST(Hierarchical, LosslessMatchesPlainSum) {
   });
 }
 
-class HierarchicalModes : public ::testing::TestWithParam<bool> {};
-
-TEST_P(HierarchicalModes, AllRanksBitIdenticalWithQuantization) {
-  const bool compress_intra = GetParam();
+TEST(Hierarchical, AllRanksBitIdenticalWithQuantization) {
   constexpr int kWorld = 8;
   constexpr std::size_t kD = 2048;
   LayerCompression qsgd;  // 4/128
   PerRank compressors(kWorld, qsgd);
   HierarchicalOptions options;
   options.node_of = {0, 0, 0, 0, 1, 1, 1, 1};
-  options.compress_intra = compress_intra;
   std::vector<std::vector<float>> results(kWorld);
   std::mutex mutex;
   comm::ShmTransport transport(kWorld);
@@ -106,16 +105,9 @@ TEST_P(HierarchicalModes, AllRanksBitIdenticalWithQuantization) {
   EXPECT_LT(tensor::l2_norm(diff), 1.5 * tensor::l2_norm(want));
 }
 
-INSTANTIATE_TEST_SUITE_P(IntraModes, HierarchicalModes,
-                         ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "CompressedIntra"
-                                             : "Fp32Intra";
-                         });
-
 TEST(Hierarchical, CutsCrossNodeTraffic) {
-  // The whole point of the two-level schedule: only the compressed leader
-  // exchange crosses the node boundary.
+  // The whole point of the two-level schedule: only the compressed rail
+  // exchanges cross the node boundary.
   constexpr int kWorld = 8;
   constexpr std::size_t kD = 8192;
   const std::vector<int> node_of = {0, 0, 0, 0, 1, 1, 1, 1};
@@ -175,16 +167,17 @@ TEST(Hierarchical, SingleNodeDegeneratesToIntraOnly) {
 }
 
 TEST(Hierarchical, OneRankPerNode) {
-  // Every rank its own leader: no intra hops at all, the schedule is pure
-  // leader-level SRA — and it must still agree bit-for-bit across ranks
-  // under quantization.
+  // One rank per node: no intra hops at all, the single rail is a flat
+  // compressed SRA over the world — and it must still agree bit-for-bit
+  // across ranks under quantization.
   constexpr int kWorld = 4;
   constexpr std::size_t kD = 777;
   LayerCompression qsgd;
   PerRank compressors(kWorld, qsgd);
   HierarchicalOptions options;
   options.node_of = {0, 1, 2, 3};
-  EXPECT_EQ(num_leaders(options.node_of), kWorld);
+  EXPECT_EQ(hierarchical_compressor_count(options.node_of),
+            static_cast<std::size_t>(kWorld));
   std::vector<std::vector<float>> results(kWorld);
   std::mutex mutex;
   comm::ShmTransport transport(kWorld);
@@ -203,7 +196,7 @@ TEST(Hierarchical, OneRankPerNode) {
 }
 
 TEST(Hierarchical, NonContiguousNodeIds) {
-  // Raw node ids are arbitrary labels; leaders and chunk assignments come
+  // Raw node ids are arbitrary labels; shard owners and rail chunks come
   // from rank order, not from the ids' numeric values.
   constexpr int kWorld = 6;
   constexpr std::size_t kD = 321;
@@ -212,10 +205,7 @@ TEST(Hierarchical, NonContiguousNodeIds) {
   PerRank compressors(kWorld, none);
   HierarchicalOptions options;
   options.node_of = {7, 7, 3, 3, 9, 9};
-  EXPECT_EQ(leader_of(options.node_of, 1), 0);
-  EXPECT_EQ(leader_of(options.node_of, 3), 2);
-  EXPECT_EQ(leader_of(options.node_of, 5), 4);
-  EXPECT_EQ(num_leaders(options.node_of), 3);
+  EXPECT_EQ(hierarchical_compressor_count(options.node_of), 3u);
   const auto want = true_sum(kWorld, kD);
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {
