@@ -14,7 +14,7 @@
 // Three modes per world size, identical collectives and seeds throughout:
 //   inline — overlap off, clean wire; the bit-identity reference.
 //   seq    — sequential-hook streaming, 1 lane (the legacy PR-4 path).
-//   dag    — DepEngine backward, 2 comm lanes, ordered launch.
+//   dag    — DepEngine backward, 2 comm lanes.
 //
 // Reports per-mode step time and the StepReport exposed-comm breakdown,
 // checks both streamed modes reproduce the inline bits exactly, and writes
@@ -131,10 +131,7 @@ ModeResult run_mode(Mode mode, const BenchConfig& cfg,
   core::AsyncOptions aopts;
   aopts.bucket_bytes = cfg.bucket_bytes;
   aopts.overlap = mode != Mode::kInline;
-  if (mode == Mode::kDag) {
-    aopts.comm_lanes = 2;
-    aopts.ordered_launch = true;
-  }
+  if (mode == Mode::kDag) aopts.comm_lanes = 2;
   core::AsyncGradientEngine engine(
       std::make_unique<core::CgxEngine>(
           layout, core::CompressionConfig::cgx_default(), cfg.world),

@@ -72,26 +72,6 @@ void recv_add_pipelined(Comm& comm, int from, std::span<float> dst,
   } while (off < dst.size());
 }
 
-// Arrival-order iteration over the n-1 peers of this rank.
-template <typename Fn>
-void for_each_peer_by_arrival(Comm& comm, int tag, Fn&& fn) {
-  const int n = comm.size();
-  const int r = comm.rank();
-  std::array<int, static_cast<std::size_t>(kMaxAnySourceWorld)> peers;
-  if (n - 1 > kMaxAnySourceWorld) {
-    for (int p = 0; p < n; ++p) {
-      if (p != r) fn(p);
-    }
-    return;
-  }
-  int count = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != r) peers[static_cast<std::size_t>(count++)] = p;
-  }
-  for_each_by_arrival(comm, {peers.data(), static_cast<std::size_t>(count)},
-                      tag, fn);
-}
-
 // Shared scatter-reduce phase: afterwards `data`'s own chunk holds the full
 // sum. Used by allreduce_sra (round 1) and reduce_scatter.
 //

@@ -67,6 +67,27 @@ void for_each_by_arrival(Comm& comm, std::span<const int> peers, int tag,
   }
 }
 
+// for_each_by_arrival over the n-1 peers of this rank (every other rank of
+// the world).
+template <typename Fn>
+void for_each_peer_by_arrival(Comm& comm, int tag, Fn&& fn) {
+  const int n = comm.size();
+  const int r = comm.rank();
+  std::array<int, static_cast<std::size_t>(kMaxAnySourceWorld)> peers;
+  if (n - 1 > kMaxAnySourceWorld) {
+    for (int p = 0; p < n; ++p) {
+      if (p != r) fn(p);
+    }
+    return;
+  }
+  int count = 0;
+  for (int p = 0; p < n; ++p) {
+    if (p != r) peers[static_cast<std::size_t>(count++)] = p;
+  }
+  for_each_by_arrival(comm, {peers.data(), static_cast<std::size_t>(count)},
+                      tag, fn);
+}
+
 // Element range [first, last) of chunk i when d elements are split across n
 // ranks (balanced split, first chunks one element larger on remainder).
 std::pair<std::size_t, std::size_t> chunk_range(std::size_t d, int n, int i);

@@ -66,8 +66,9 @@ constexpr int bucket_tag_offset(int bucket) {
 // per-bucket disjointness above IS the per-lane isolation. The cap below
 // only bounds thread fan-out; any value up to it keeps the tag story
 // unchanged. Cross-rank safety needs every rank to submit to a given lane
-// in the same bucket order — the engine's ordered-launch release frontier
-// guarantees that even when completion order differs per rank.
+// in the same bucket order — the engine's only launch mode, canonical
+// plan-order release, guarantees that even when completion order differs
+// per rank.
 inline constexpr int kMaxCommLanes = 8;
 
 static_assert(kTreeBcastTag + bucket_tag_offset(kMaxTagBuckets - 1) < 310,

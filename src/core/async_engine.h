@@ -10,8 +10,8 @@
 //     engine's compressed layers — walked in gradient PRODUCTION order,
 //     i.e. reverse layout order — into buckets of ~bucket_bytes raw
 //     gradient each. Filtered full-precision layers keep their fused
-//     packet, which ships as one pseudo-bucket once its last gradient
-//     materialises.
+//     packet, which ships as one pseudo-bucket: the last submission of
+//     every step.
 //   * Each rank owns comm_lanes comm threads (lanes), each fed by its own
 //     lock-free single-producer/single-consumer ready queue. Submissions
 //     ride the lanes of a FIXED byte-balanced lane map (build_lane_map():
@@ -22,34 +22,35 @@
 //     buckets drain in parallel while backward keeps producing gradients.
 //   * notify_layer_ready() may be called concurrently (a DAG-scheduled
 //     backward fires hooks from pool workers); a producer-side mutex
-//     serialises the countdowns. With ordered_launch, completed buckets
-//     are held in a release frontier and submitted in canonical plan
-//     order — each lane then sees the same bucket order on every rank
-//     even though per-rank completion order is nondeterministic, which is
-//     what keeps blocking collectives deadlock-free under the executor.
+//     serialises the countdowns. Completed buckets are held in a release
+//     frontier and submitted in canonical plan order (bucket 0, 1, …,
+//     packet) — each lane then sees the same bucket order on every rank
+//     even though per-rank completion order may differ, which is what
+//     keeps blocking collectives deadlock-free under any notify order.
 //   * Within a lane, buckets alternate between two grow-only
-//     CollectiveWorkspace arenas, so with pipelining the round-1
-//     compression of the lane's next bucket (SRA's non-blocking begin
-//     half) overlaps the drain of its current one.
+//     CollectiveWorkspace arenas, so the round-1 compression of the
+//     lane's next bucket (SRA's non-blocking begin half) overlaps the
+//     drain of its current one (pipelining).
 //   * wait_all() joins the step before the optimizer runs and fills the
 //     StepReport's per-phase Timing (compute / compress / comm / EXPOSED
 //     comm) plus per-bucket launch/finish timestamps and the derived
-//     exposed_comm_pct.
+//     exposed_comm_pct, and the inner engine's world fields.
 //
 // Determinism: results are bit-identical between overlap=true and
-// overlap=false, across ranks, across comm_lanes counts, and between
-// ordered and legacy launch — because the bucket assignment is a pure
-// function of layout+policy, every bucket folds in fixed rank order inside
-// the collectives, and each bucket draws from its own RNG stream
+// overlap=false, across ranks, across comm_lanes counts and across notify
+// orders — because the bucket assignment is a pure function of
+// layout+policy, every bucket folds in fixed rank order inside the
+// collectives, and each bucket draws from its own RNG stream
 // (rng.split(bucket) after one parent advance per step) — so the thread
 // interleaving can only change WHEN work happens, never what it computes.
 //
-// Fault composition (PR 3): per-bucket round retries reuse the engine's
-// recover_world protocol over the facade's own comm-thread barrier;
-// pipelining is disabled when retries are on, because recovery resets
-// inbound channels and would drop the next bucket's in-flight frames.
-// Retries also force comm_lanes = 1: recovery's world-sized comm barrier
-// assumes exactly one comm thread per rank.
+// Fault composition: every submission (bucket or packet) is one round of
+// CgxEngine::run_round, the engine's single retry scope, whose recovery
+// runs over the facade's own comm-thread barrier. Pipelining is disabled
+// when retries are on, because recovery resets inbound channels and would
+// drop the next bucket's in-flight frames. Retries also force
+// comm_lanes = 1: recovery's world-sized comm barrier assumes exactly one
+// comm thread per rank.
 #pragma once
 
 #include <atomic>
@@ -69,34 +70,21 @@ struct AsyncOptions {
   // Fusion threshold over RAW (FP32) gradient bytes: a bucket closes once
   // it holds at least this much. DDP-style ~4 MiB default.
   std::size_t bucket_bytes = std::size_t{4} << 20;
-  // false = run every bucket inline at submission on the training thread,
-  // in the exact submission order — the bit-identical synchronous
-  // comparator the equivalence suite diffs against.
+  // false = run every bucket inline at release on the training thread, in
+  // canonical plan order — the bit-identical synchronous comparator the
+  // equivalence suite diffs against. true = comm threads, with the lane's
+  // next SRA begin half pipelined behind its current bucket's drain
+  // unless the inner engine retries rounds (recovery resets inbound
+  // channels, which would eat the pipelined bucket's frames).
   bool overlap = true;
-  // Start the lane's next bucket's SRA round-1 compression before its
-  // current bucket finished draining (double-buffered arenas).
-  // Auto-disabled when the inner engine's max_round_retries > 0 —
-  // recovery resets inbound channels, which would eat the pipelined
-  // bucket's frames.
-  bool pipeline = true;
   // Comm threads per rank. Submissions are spread over the lanes by a
   // byte-balanced map (estimated post-compression wire bytes, not bucket
   // counts — a top-k bucket costs far less lane time than an 8-bit one);
   // with a latency-bound transport, lanes drain independent buckets in
   // parallel. Clamped to comm::kMaxCommLanes; forced to 1 when overlap is
-  // off or the inner engine retries rounds. comm_lanes > 1 implies
-  // ordered_launch (per-lane submission order must match across ranks).
+  // off or the inner engine retries rounds. Canonical-order release keeps
+  // every lane's submission order identical across ranks.
   int comm_lanes = 1;
-  // Release completed buckets to the lanes in canonical plan order
-  // (bucket 0, 1, …, packet) instead of completion-arrival order. A
-  // DAG-scheduled backward completes buckets in a nondeterministic
-  // per-rank order; submitting in that order would deadlock blocking
-  // collectives across ranks. The frontier holds a completed bucket until
-  // every lower-indexed submission has been released, making each lane's
-  // order an identical subsequence on every rank. Off by default: the
-  // legacy submit-at-notify path is preserved bit-for-bit (fault tests
-  // key on round processing order).
-  bool ordered_launch = false;
 };
 
 // Deterministic fusion plan over a LayerLayout + resolved policy. Buckets
@@ -127,14 +115,13 @@ BucketPlan build_bucket_plan(const tensor::LayerLayout& layout,
 
 class AsyncGradientEngine final : public GradientEngine {
  public:
-  // Takes ownership of the inner engine. Requires fuse_filtered_layers —
-  // the streaming plan covers every layer either via a compressed bucket
-  // or via the packet. Two-level mode (node_of set) streams too: each
-  // bucket runs hierarchical_begin/finish on its own tag lane, and buckets
-  // on different comm lanes overlap. Within a lane it does not pipeline
-  // (CgxEngine::supports_split): a two-level begin waits for its node
-  // peers' begins, and a peer whose lane already entered the previous
-  // bucket's finish would never get to them.
+  // Takes ownership of the inner engine. The streaming plan covers every
+  // layer either via a compressed bucket or via the packet. Two-level mode
+  // (node_of set) streams too: each bucket runs hierarchical_begin/finish
+  // on its own tag lane, and buckets on different comm lanes overlap.
+  // Within a lane it does not pipeline (CgxEngine::supports_split): a
+  // two-level begin waits for its node peers' begins, and a peer whose lane
+  // already entered the previous bucket's finish would never get to them.
   AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
                       AsyncOptions options = {});
   ~AsyncGradientEngine() override;
@@ -151,9 +138,10 @@ class AsyncGradientEngine final : public GradientEngine {
   // ---- Streaming API (one step per rank) ----
   // begin_step arms the per-bucket countdowns and RNG streams; every layer
   // must then be notified exactly once. Notifications may come from any
-  // thread (DAG executor hooks included) and, unless ordered_launch is
-  // set, all ranks must complete buckets in the SAME order; wait_all
-  // blocks until every bucket drained and rethrows the first comm-thread
+  // thread (DAG executor hooks included) in any order, and ranks need not
+  // agree on it: buckets are released in canonical plan order. wait_all
+  // blocks until every bucket drained, fills the StepReport (timing and
+  // the inner engine's world fields) and rethrows the first comm-thread
   // failure. `fused` must stay valid until wait_all returns.
   void begin_step(comm::Comm& comm, std::span<float> fused, util::Rng& rng);
   void notify_layer_ready(int rank, std::size_t layer);
@@ -171,7 +159,6 @@ class AsyncGradientEngine final : public GradientEngine {
   const AsyncOptions& async_options() const { return options_; }
   const tensor::LayerLayout& layout() const { return inner_->layout(); }
   int comm_lanes() const { return lanes_; }
-  bool ordered_launch() const { return ordered_; }
   // Lane the byte-balanced map (DESIGN.md §5j) assigns to submission
   // `idx`; all zeros when comm_lanes == 1. Fixed until the next rebuild.
   int lane_of(std::size_t idx) const { return lane_of_[idx]; }
@@ -225,14 +212,14 @@ class AsyncGradientEngine final : public GradientEngine {
     std::span<float> fused;
     std::vector<util::Rng> bucket_rngs;
     std::vector<std::uint32_t> remaining;  // per-bucket layer countdown
-    std::vector<std::uint8_t> complete;    // ordered_launch frontier marks
+    std::vector<std::uint8_t> complete;    // release frontier marks
     std::uint32_t release_cursor = 0;      // next plan index to release
     std::uint32_t submitted = 0;
     std::uint32_t notified = 0;
     std::chrono::steady_clock::time_point t_begin;
     std::chrono::steady_clock::time_point t_last_submit;
 
-    // Comm-path state. begun[b] is raced-free without the mutex because
+    // Comm-path state. begun[b] is race-free without the mutex because
     // bucket b always rides the one lane lane_of_[b] names. rounds keys
     // the fault injector and is monotone across steps (never reset).
     std::vector<std::uint8_t> begun;  // bucket began early (pipelining)
@@ -258,11 +245,10 @@ class AsyncGradientEngine final : public GradientEngine {
   AsyncOptions options_;
   BucketPlan plan_;
   // Submission plan index -> lane id: greedy byte-balanced, rebuilt with
-  // the plan. All zeros when lanes_ == 1 (bit-identical legacy path).
+  // the plan. All zeros when lanes_ == 1.
   std::vector<int> lane_of_;
   bool pipeline_enabled_ = false;
-  int lanes_ = 1;        // resolved comm_lanes (clamped / forced to 1)
-  bool ordered_ = false; // resolved ordered_launch (implied by lanes_ > 1)
+  int lanes_ = 1;  // resolved comm_lanes (clamped / forced to 1)
   util::Barrier comm_barrier_;  // world-sized, comm threads only
   std::vector<RankState> ranks_;
 };

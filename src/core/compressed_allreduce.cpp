@@ -1,7 +1,5 @@
 #include "core/compressed_allreduce.h"
 
-#include <array>
-
 #include "comm/tagspace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
@@ -29,28 +27,10 @@ constexpr std::size_t kSlotIncoming = 0;   // float accumulation buffer
 constexpr std::size_t kSlotRingBase = 2;   // ring: byte slot per chunk
 constexpr std::size_t kSlotRingSizes = 0;  // ring: written size per chunk
 
-// Arrival-order iteration over the peers of rank `r` (see
-// comm::for_each_by_arrival). Used only where service order cannot change
-// the final floats: receives into disjoint regions, or staged folds whose
-// adds run in fixed rank order afterwards.
-template <typename Fn>
-void for_each_peer_by_arrival(comm::Comm& comm, int tag, Fn&& fn) {
-  const int n = comm.size();
-  const int r = comm.rank();
-  std::array<int, static_cast<std::size_t>(comm::kMaxAnySourceWorld)> peers;
-  if (n - 1 > comm::kMaxAnySourceWorld) {
-    for (int p = 0; p < n; ++p) {
-      if (p != r) fn(p);
-    }
-    return;
-  }
-  int count = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != r) peers[static_cast<std::size_t>(count++)] = p;
-  }
-  comm::for_each_by_arrival(
-      comm, {peers.data(), static_cast<std::size_t>(count)}, tag, fn);
-}
+// Arrival-order service (comm::for_each_peer_by_arrival) is used only where
+// it cannot change the final floats: receives into disjoint regions, or
+// staged folds whose adds run in fixed rank order afterwards.
+using comm::for_each_peer_by_arrival;
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "comm/fault.h"
 #include "comm/membership.h"
@@ -181,6 +182,8 @@ CgxEngine::CgxEngine(const tensor::LayerLayout& layout,
   CGX_CHECK_GT(world_size, 0);
   active_world_ = world_size;
   hier_.node_of = options_.node_of;
+  all_layers_.resize(layout_.layer_count());
+  std::iota(all_layers_.begin(), all_layers_.end(), std::size_t{0});
   rebuild();
 }
 
@@ -197,8 +200,7 @@ void CgxEngine::rebuild() {
   packet_numel_ = 0;
   for (const auto& info : layout_.layers()) {
     resolved_.push_back(config_.for_layer(info.name, info.numel));
-    if (resolved_.back().method == Method::None &&
-        options_.fuse_filtered_layers) {
+    if (resolved_.back().method == Method::None) {
       filtered_layers_.push_back(resolved_.size() - 1);
       packet_numel_ += info.numel;
     }
@@ -256,8 +258,8 @@ void CgxEngine::reset_compressors(RankState& rank, std::size_t l,
   }
 }
 
-void CgxEngine::finish_report(RankState& state) {
-  StepReport& report = state.report;
+void CgxEngine::finish_report(int rank, StepReport& report) {
+  RankState& state = ranks_[static_cast<std::size_t>(rank)];
   report.epoch = applied_epoch_;
   report.world = active_world_;
   // The movement baseline for a rank's first step is the LAUNCH world, so a
@@ -275,60 +277,83 @@ void CgxEngine::allreduce(comm::Comm& comm, std::span<float> fused,
   CGX_CHECK_EQ(fused.size(), layout_.total_numel());
   // RankState is keyed by GLOBAL rank: a survivor keeps its compressors and
   // workspace across re-shards even as its dense rank shifts.
-  RankState& state = ranks_[static_cast<std::size_t>(comm.global_rank())];
+  const int rank = comm.global_rank();
+  RankState& state = ranks_[static_cast<std::size_t>(rank)];
   // Grow-only engine state touched inside the collective (error-feedback
   // residuals, compressor scratch) carves from this rank's arena. The alloc
   // tests prove the steady state does not grow, so arena waste is bounded
   // by warm-up.
-  util::ScopedArena bind(util::rank_arena(comm.global_rank()));
-  const std::uint64_t round = state.rounds++;
-  const bool elastic = comm.elastic();
-  // Elastic worlds keep retrying through re-shards: every crash consumes
-  // one retry, and up to world-1 ranks can die, so the budget scales with
-  // the world rather than relying on the caller to size it.
-  const int retry_budget =
-      elastic ? std::max(options_.max_round_retries, 2 * world_size_)
-              : options_.max_round_retries;
-
+  util::ScopedArena bind(util::rank_arena(rank));
   StepReport& report = state.report;
   report.ok = true;
   report.attempts = 0;
   report.retries = 0;
   report.incidents.clear();
-
-  if (retry_budget <= 0) {
-    // Seed behaviour: one attempt, failures propagate. No snapshot copy, no
-    // extra branches on the hot path (the handler costs nothing until a
-    // structured failure actually unwinds through it).
-    ++report.attempts;
-    try {
-      allreduce_attempt(comm, fused, rng, state);
-    } catch (const comm::CommError& e) {
-      report.ok = false;
-      report.incidents.push_back(
-          StepReport::Incident{e.src, e.dst, e.tag, e.what()});
-      finish_report(state);
-      throw;
+  CollectiveWorkspace& ws = state.workspace;
+  // The synchronous step is the streaming plan in its simplest shape: the
+  // packet, then every compressed layer as a one-layer bucket on bucket 0's
+  // tags (the monolithic range), in layout order on the caller's RNG.
+  const auto attempt = [&] {
+    packet_allreduce(comm, fused, ws);
+    for (std::size_t l = 0; l < resolved_.size(); ++l) {
+      if (resolved_[l].method == Method::None) continue;
+      const std::span<const std::size_t> layer(&l, 1);
+      bucket_begin(comm, fused, layer, rng, /*tag_base=*/0, ws);
+      bucket_finish(comm, fused, layer, rng, /*tag_base=*/0, ws);
     }
-    finish_report(state);
-    return;
+  };
+  try {
+    run_round(comm, fused, state.rounds++, all_layers_, ws, report,
+              /*report_mutex=*/nullptr, attempt);
+  } catch (...) {
+    finish_report(rank, report);
+    throw;
   }
+  finish_report(rank, report);
+}
 
-  // A failed attempt leaves `fused` partially reduced (collectives work in
-  // place), so each attempt starts from a workspace-held snapshot.
-  const std::span<float> snapshot =
-      state.workspace.floats(kSlotRoundSnapshot, fused.size());
-  tensor::copy(std::span<const float>(fused), snapshot);
+void CgxEngine::run_round(comm::Comm& comm, std::span<float> fused,
+                          std::uint64_t round,
+                          std::span<const std::size_t> rollback,
+                          CollectiveWorkspace& ws, StepReport& report,
+                          std::mutex* report_mutex,
+                          void (*body)(const void*), const void* context) {
+  const auto lock_report = [report_mutex] {
+    return report_mutex != nullptr ? std::unique_lock(*report_mutex)
+                                   : std::unique_lock<std::mutex>();
+  };
+  const bool elastic = comm.elastic();
+  const int budget = elastic
+                         ? std::max(options_.max_round_retries, 2 * world_size_)
+                         : options_.max_round_retries;
+  // A failed attempt leaves the rollback layers partially reduced
+  // (collectives work in place), so each retry restores them from a
+  // workspace-held snapshot. Without retries nothing is copied.
+  std::span<float> snapshot;
+  if (budget > 0 && !rollback.empty()) {
+    std::size_t numel = 0;
+    for (std::size_t l : rollback) numel += layout_.layer(l).numel;
+    snapshot = ws.floats(kSlotRoundSnapshot, numel);
+    std::size_t off = 0;
+    for (std::size_t l : rollback) {
+      const auto slice = layout_.slice(std::span<const float>(fused), l);
+      tensor::copy(slice, snapshot.subspan(off, slice.size()));
+      off += slice.size();
+    }
+  }
   for (int attempt = 0;; ++attempt) {
-    ++report.attempts;
+    {
+      const auto lock = lock_report();
+      ++report.attempts;
+    }
     try {
-      if (options_.injector != nullptr &&
+      if (budget > 0 && options_.injector != nullptr &&
           options_.injector->round_fails(round, attempt)) {
         throw comm::TimeoutError(-1, comm.rank(), -1,
                                  std::chrono::milliseconds{0},
                                  "synthetic round failure (fault harness)");
       }
-      allreduce_attempt(comm, fused, rng, state);
+      body(context);
       if (elastic) {
         // Commit fence: a step only counts when every CURRENT survivor
         // finished its attempt. A peer that died after this rank's last
@@ -343,23 +368,29 @@ void CgxEngine::allreduce(comm::Comm& comm, std::span<float> fused,
                                    "step commit fence");
         }
       }
-      finish_report(state);
       return;
     } catch (const comm::CommError& e) {
-      report.incidents.push_back(
-          StepReport::Incident{e.src, e.dst, e.tag, e.what()});
-      if (attempt >= retry_budget) {
-        report.ok = false;
-        finish_report(state);
-        throw;
+      {
+        const auto lock = lock_report();
+        report.incidents.push_back(
+            StepReport::Incident{e.src, e.dst, e.tag, e.what()});
+        if (attempt >= budget) {
+          report.ok = false;
+          throw;
+        }
+        ++report.retries;
       }
-      ++report.retries;
       // Every rank must agree to retry and quiesce before buffers are
       // reused; if agreement fails the world is broken for good and the
       // TimeoutError from reshard_world propagates. In elastic mode this is
       // where a crashed peer is voted out and the plans shrink.
       reshard_world(comm);
-      tensor::copy(std::span<const float>(snapshot), fused);
+      std::size_t off = 0;
+      for (std::size_t l : rollback) {
+        const std::span<float> slice = layout_.slice(fused, l);
+        tensor::copy(snapshot.subspan(off, slice.size()), slice);
+        off += slice.size();
+      }
     }
   }
 }
@@ -439,57 +470,6 @@ void CgxEngine::apply_view(const comm::WorldView& view) {
     }
   }
   wire_bytes_cached_ = wire_bytes_per_rank(options_.scheme);
-}
-
-void CgxEngine::allreduce_attempt(comm::Comm& comm, std::span<float> fused,
-                                  util::Rng& rng, RankState& state) {
-  CollectiveWorkspace& ws = state.workspace;
-
-  // Fused full-precision packet for filtered layers. Gather-scatter through
-  // the workspace: the packet and the allreduce scratch live in engine-owned
-  // slots, so steady state makes no allocation.
-  if (packet_numel_ > 0) {
-    const std::span<float> packet = ws.floats(kSlotPacket, packet_numel_);
-    std::size_t offset = 0;
-    for (std::size_t l : filtered_layers_) {
-      const auto slice = layout_.slice(std::span<const float>(fused), l);
-      tensor::copy(slice, packet.subspan(offset, slice.size()));
-      offset += slice.size();
-    }
-    comm::allreduce(comm, packet, options_.scheme,
-                    ws.floats(kSlotCommScratch, packet_numel_));
-    offset = 0;
-    for (std::size_t l : filtered_layers_) {
-      auto slice = layout_.slice(fused, l);
-      tensor::copy(packet.subspan(offset, slice.size()), slice);
-      offset += slice.size();
-    }
-  }
-  if (!options_.fuse_filtered_layers) {
-    for (std::size_t l = 0; l < resolved_.size(); ++l) {
-      if (resolved_[l].method != Method::None) continue;
-      std::span<float> slice = layout_.slice(fused, l);
-      comm::allreduce(comm, slice, options_.scheme,
-                      ws.floats(kSlotCommScratch, slice.size()));
-    }
-  }
-
-  // Compressed layers, one collective each (per-layer compression, §3).
-  for (std::size_t l = 0; l < resolved_.size(); ++l) {
-    if (resolved_[l].method == Method::None) continue;
-    const std::span<Compressor* const> chunks = state.chunk_ptrs[l];
-    if (!options_.node_of.empty()) {
-      hierarchical_allreduce(comm, layout_.slice(fused, l), chunks, rng,
-                             hier_, ws);
-    } else {
-      compressed_allreduce(comm, layout_.slice(fused, l), chunks, rng,
-                           options_.scheme, ws);
-    }
-  }
-
-  if (options_.average && active_world_ > 1) {
-    tensor::scale(fused, 1.0f / static_cast<float>(active_world_));
-  }
 }
 
 void CgxEngine::bucket_begin(comm::Comm& comm, std::span<float> fused,
@@ -652,14 +632,7 @@ CommPlan CgxEngine::comm_plan(const simgpu::CostModel& cost,
     const auto& info = layout_.layer(l);
     const LayerCompression& cfg = resolved_[l];
     if (cfg.method == Method::None) {
-      if (options_.fuse_filtered_layers) {
-        fused_packet_bytes += 4.0 * static_cast<double>(info.numel);
-      } else {
-        plan.per_layer_s[l] = scheme_seconds(
-            cost, devices, options_.scheme,
-            4.0 * static_cast<double>(info.numel) / world_size_,
-            4.0 * static_cast<double>(info.numel));
-      }
+      fused_packet_bytes += 4.0 * static_cast<double>(info.numel);
       continue;
     }
     const std::size_t rows = info.shape.empty() ? 0 : info.shape.front();

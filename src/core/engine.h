@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,9 +43,6 @@ struct EngineOptions {
   comm::ReductionScheme scheme =
       comm::ReductionScheme::ScatterReduceAllgather;
   bool average = true;  // divide the sum by world size
-  // Fuse all full-precision (filtered/small) layers into one packet per
-  // step, "communicated uncompressed, in separate packages" (§3).
-  bool fuse_filtered_layers = true;
   // Heterogeneous multi-node mode (§4 "Backend Details"): FP32 intra-node
   // reduce-scatter (peer-direct where the link allows), compressed SRA
   // with node-boundary re-compression along each shard's rail across
@@ -57,11 +55,12 @@ struct EngineOptions {
   // qsgd.h). Null = serial compression.
   util::ThreadPool* compression_pool = nullptr;
   std::size_t compression_threading_min_numel = 1 << 16;
-  // Graceful degradation: how many times CgxEngine::allreduce retries a
-  // round after a structured comm failure (CommError) before rethrowing.
-  // 0 (the default) preserves the seed's fail-fast behaviour and costs
-  // nothing; > 0 additionally keeps a pre-round snapshot of the fused
-  // buffer in the workspace so a half-reduced round can be rolled back.
+  // Graceful degradation: how many times a round (CgxEngine::allreduce, or
+  // one AsyncGradientEngine submission) is retried after a structured comm
+  // failure (CommError) before rethrowing. 0 (the default) is fail-fast and
+  // costs nothing; > 0 additionally keeps a pre-round snapshot of the
+  // round's layers in the workspace so a half-reduced round can be rolled
+  // back. Elastic comms retry at least 2 x world times (see run_round).
   int max_round_retries = 0;
   // Upper bound on each recovery-protocol wait (agreement barriers, the
   // membership vote deadline). 0 = derive from the comm policy: twice its
@@ -73,10 +72,11 @@ struct EngineOptions {
   comm::FaultInjector* injector = nullptr;
 };
 
-// What happened to one rank's most recent CgxEngine::allreduce call: how
-// many attempts it took, which links failed with what, and whether the step
-// finally succeeded. Incidents are recorded only on failure paths, so the
-// fault-free steady state allocates nothing here.
+// What happened to one rank's most recent CgxEngine::allreduce call or
+// AsyncGradientEngine step: how many attempts it took, which links failed
+// with what, and whether the step finally succeeded. Incidents are
+// recorded only on failure paths, so the fault-free steady state allocates
+// nothing here.
 struct StepReport {
   struct Incident {
     int src;
@@ -200,12 +200,13 @@ class CgxEngine final : public GradientEngine {
   // once. bucket_begin is the non-blocking half (SRA round-1 compress +
   // buffered sends; a no-op for Ring/Tree, whose hop structure has no
   // split point); bucket_finish completes the reduction and applies the
-  // 1/world averaging to the bucket's slices. begin(b) + finish(b) over
-  // all buckets plus one packet_allreduce is bit-identical to allreduce()
-  // given the same per-bucket RNG streams. In two-level mode (node_of set)
-  // the bucket runs hierarchical_begin/finish on its own tag lane, so
-  // bucket k+1's reduce-scatter on one comm lane overlaps bucket k's
-  // inter-node drain on another.
+  // 1/world averaging to the bucket's slices. allreduce() itself is one
+  // packet_allreduce plus begin + finish of a single-layer bucket 0 per
+  // compressed layer, in layout order, on the caller's RNG; the streamed
+  // plan gives each bucket its own RNG stream instead. In two-level mode
+  // (node_of set) the bucket runs hierarchical_begin/finish on its own tag
+  // lane, so bucket k+1's reduce-scatter on one comm lane overlaps bucket
+  // k's inter-node drain on another.
   void bucket_begin(comm::Comm& comm, std::span<float> fused,
                     std::span<const std::size_t> layers, util::Rng& rng,
                     int tag_base, CollectiveWorkspace& ws);
@@ -227,15 +228,33 @@ class CgxEngine final : public GradientEngine {
            options_.node_of.empty();
   }
 
-  // Round-retry recovery protocol, shared with AsyncGradientEngine's
-  // per-bucket retries. Non-elastic comms run the classic deadline-bounded
-  // agreement barrier / per-rank inbound reset / second barrier. Elastic
-  // comms (comm/membership.h) instead run survivor agreement: a transient
-  // fault quiesces over the recovery gate; a crash re-shards the world
-  // (apply_view rebuilds this engine's plans) and the retried attempt runs
-  // in the shrunken world. Throws TimeoutError if agreement cannot be
-  // reached. All surviving ranks must call it together.
-  void reshard_world(comm::Comm& comm);
+  // The retry scope every round in the engine runs through: allreduce()
+  // over all layers, and AsyncGradientEngine for each bucket and for the
+  // packet. Calls attempt() until it succeeds or the retry budget is spent:
+  //
+  //   * Retries off (max_round_retries <= 0 on a fixed world): one
+  //     attempt, no snapshot copy, no injector lookup; a CommError is
+  //     recorded in `report` and rethrown.
+  //   * Retries on: `rollback`'s layers of `fused` are snapshotted into
+  //     `ws` before the first attempt and restored after each failed one
+  //     (an empty list means the attempt re-reads its inputs, as the
+  //     packet does). `round` keys FaultInjector::round_fails. Between
+  //     attempts every rank runs reshard_world().
+  //   * Elastic comms retry at least 2 x world times — every crash consumes
+  //     a retry and up to world-1 ranks can die — and a step only commits
+  //     once every current survivor passes the commit fence.
+  //
+  // `report_mutex` guards `report` when several comm lanes share it; null
+  // when one thread owns the report. Every rank must run the same rounds.
+  template <typename Attempt>
+  void run_round(comm::Comm& comm, std::span<float> fused,
+                 std::uint64_t round, std::span<const std::size_t> rollback,
+                 CollectiveWorkspace& ws, StepReport& report,
+                 std::mutex* report_mutex, const Attempt& attempt) {
+    run_round(comm, fused, round, rollback, ws, report, report_mutex,
+              [](const void* a) { (*static_cast<const Attempt*>(a))(); },
+              &attempt);
+  }
 
   // Rebuilds this engine's collective plans for a freshly published
   // survivor view: shrinks (or re-expands) the active world, restricts the
@@ -276,6 +295,11 @@ class CgxEngine final : public GradientEngine {
     return ranks_[static_cast<std::size_t>(rank)].report;
   }
 
+  // Fills `report`'s world fields (epoch, world, departed/joined against
+  // global rank `rank`'s previous step) and wire_bytes. Every step that
+  // reports through a StepReport calls it once, on success and failure.
+  void finish_report(int rank, StepReport& report);
+
  private:
   struct RankState {
     // state[layer][chunk] — stable chunk->compressor binding (see
@@ -291,12 +315,21 @@ class CgxEngine final : public GradientEngine {
                                // never stepped); feeds StepReport movement
   };
 
-  // One full reduction pass — the body a round retry re-runs.
-  void allreduce_attempt(comm::Comm& comm, std::span<float> fused,
-                         util::Rng& rng, RankState& state);
+  void run_round(comm::Comm& comm, std::span<float> fused,
+                 std::uint64_t round, std::span<const std::size_t> rollback,
+                 CollectiveWorkspace& ws, StepReport& report,
+                 std::mutex* report_mutex, void (*body)(const void*),
+                 const void* context);
 
-  // Fills the StepReport's world-movement fields on every allreduce exit.
-  void finish_report(RankState& state);
+  // Round-retry recovery protocol, run by run_round() between attempts.
+  // Non-elastic comms run the classic deadline-bounded agreement barrier /
+  // per-rank inbound reset / second barrier. Elastic comms
+  // (comm/membership.h) instead run survivor agreement: a transient fault
+  // quiesces over the recovery gate; a crash re-shards the world
+  // (apply_view rebuilds this engine's plans) and the retried attempt runs
+  // in the shrunken world. Throws TimeoutError if agreement cannot be
+  // reached. All surviving ranks must call it together.
+  void reshard_world(comm::Comm& comm);
   std::chrono::milliseconds derived_recovery_timeout(
       const comm::CommPolicy& pol) const;
 
@@ -317,6 +350,7 @@ class CgxEngine final : public GradientEngine {
   // path never copies the node map (zero steady-state allocations).
   HierarchicalOptions hier_;
   std::vector<LayerCompression> resolved_;
+  std::vector<std::size_t> all_layers_;       // 0..L-1: allreduce rollback
   std::vector<std::size_t> filtered_layers_;  // layers routed to FP32
   std::size_t packet_numel_ = 0;              // total numel of filtered layers
   // Elastic membership: the currently active world (== world_size_ until a

@@ -69,6 +69,9 @@ void TopKCompressor::decompress(std::span<const std::byte> in,
   CGX_CHECK_GE(in.size(), 8u);
   std::uint64_t k64 = 0;
   std::memcpy(&k64, in.data(), 8);
+  // Bound k before multiplying: a crafted k near 2^61 would wrap 8 * k to a
+  // small number and pass the size check.
+  CGX_CHECK_LE(k64, (in.size() - 8) / 8);
   const auto k = static_cast<std::size_t>(k64);
   CGX_CHECK_EQ(in.size(), 8 + 8 * k);
   const auto* indices = reinterpret_cast<const std::uint32_t*>(in.data() + 8);

@@ -24,7 +24,7 @@ std::unique_ptr<nn::Module> make_mlp(std::size_t in, std::size_t hidden,
 // passes have genuinely independent branches, so a DepEngine pool can
 // differentiate both towers concurrently and gradients complete in a
 // nondeterministic per-rank order — exactly what the engine's
-// ordered-launch frontier exists for.
+// canonical-order release frontier exists for.
 
 // Two-tower MLP: shared stem, two independent Linear/ReLU towers whose
 // outputs SUM at the classifier head (Graph fan-in join).

@@ -113,7 +113,6 @@ TrainResult train_distributed(const ModelFactory& model_factory,
   util::Rng probe_rng(options.seed);
   std::unique_ptr<Module> probe = model_factory(probe_rng);
   const tensor::LayerLayout layout = build_layout(parameters(*probe));
-  const bool graph_model = dynamic_cast<Graph*>(probe.get()) != nullptr;
   probe.reset();
 
   std::unique_ptr<core::GradientEngine> engine =
@@ -129,11 +128,6 @@ TrainResult train_distributed(const ModelFactory& model_factory,
     core::AsyncOptions async_options;
     async_options.bucket_bytes = options.overlap_bucket_bytes;
     async_options.comm_lanes = options.overlap_comm_lanes;
-    // A DAG-scheduled Graph backward completes buckets in a per-rank
-    // nondeterministic order; canonical-order release keeps the blocking
-    // collectives deadlock-free. Multi-lane always needs it.
-    async_options.ordered_launch =
-        graph_model || options.overlap_comm_lanes > 1;
     engine = std::make_unique<core::AsyncGradientEngine>(
         std::move(owned), async_options);
     async = static_cast<core::AsyncGradientEngine*>(engine.get());
@@ -280,9 +274,9 @@ TrainResult train_distributed(const ModelFactory& model_factory,
         if (begin == end) continue;  // parameterless (ReLU, pool, ...)
         child.set_grad_ready_hook([&, begin, end, rank](Module&) {
           // Within a child, notify in reverse parameter order to match
-          // the facade's gradient-production convention (identical on
-          // every rank, which is all the engine requires; under a DAG
-          // executor the engine's ordered launch relaxes even that).
+          // the facade's gradient-production convention. Ranks need not
+          // agree on notify order (a DAG executor's differs per rank):
+          // the engine releases buckets in canonical plan order.
           for (std::size_t l = end; l-- > begin;) {
             tensor::copy(params[l]->grad.data(),
                          layout.slice(std::span<float>(fused), l));

@@ -76,17 +76,17 @@ struct TrainOptions {
   bool overlap = false;
   std::size_t overlap_bucket_bytes = std::size_t{4} << 20;
   // Comm lanes for the streaming facade (core::AsyncOptions::comm_lanes):
-  // comm threads per rank, each draining its share of the buckets. > 1
-  // implies ordered bucket launch. Only meaningful with overlap.
+  // comm threads per rank, each draining its share of the buckets. Only
+  // meaningful with overlap.
   int overlap_comm_lanes = 1;
   // DAG-scheduled backward: when the model is an nn::Graph (or an
   // nn::Sequential, as a degenerate chain), run backward on a per-rank
   // core::DepEngine pool with this many workers, so independent branches
   // differentiate concurrently and gradient buckets launch when their
   // true producers finish. 0 = serial walk. Bit-identical either way
-  // (test-enforced); with a Graph model the trainer switches the async
-  // engine to ordered launch so per-rank completion-order divergence
-  // cannot deadlock the collectives.
+  // (test-enforced); the async engine releases buckets in canonical plan
+  // order, so per-rank completion-order divergence cannot deadlock the
+  // collectives.
   std::size_t dag_threads = 0;
   // Worker threads for the tiled GEMMs (tensor::set_compute_pool) during
   // this run. 0 = serial. Any value produces bit-identical models: the

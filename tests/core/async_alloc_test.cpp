@@ -185,10 +185,10 @@ TEST(AsyncEngineAlloc, StreamedStepAllocationFreeAcrossPolicyHotSwap) {
 
 TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
   // The DAG-executor path: per-rank DepEngine replay on a pool drives the
-  // notifies (from worker threads), the engine runs two comm lanes with
-  // ordered launch. After warm-up — recorded op graph, raw task ring at
-  // size, lane queues and arenas grown, timing vectors at capacity — the
-  // whole streamed step must still make zero heap allocations.
+  // notifies (from worker threads), the engine runs two comm lanes. After
+  // warm-up — recorded op graph, raw task ring at size, lane queues and
+  // arenas grown, timing vectors at capacity — the whole streamed step
+  // must still make zero heap allocations.
   constexpr int kWorld = 2;
   tensor::LayerLayout layout;
   layout.add_layer("embed.weight", tensor::Shape{2000, 32});
@@ -204,7 +204,6 @@ TEST(AsyncEngineAlloc, DagExecutorStreamedStepAllocationFreeAfterWarmup) {
       std::make_unique<CgxEngine>(layout, CompressionConfig::cgx_default(),
                                   kWorld),
       aopts);
-  ASSERT_TRUE(engine.ordered_launch());
 
   comm::ShmTransport transport(kWorld);
   comm::run_world(transport, [&](comm::Comm& comm) {

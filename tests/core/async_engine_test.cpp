@@ -168,25 +168,11 @@ TEST(AsyncGradientEngine, OverlapBitIdenticalToInlineAcrossSchemesAndWorlds) {
   }
 }
 
-TEST(AsyncGradientEngine, PipeliningDoesNotChangeResults) {
-  const auto layout = transformer_like_layout();
-  AsyncOptions piped;
-  piped.bucket_bytes = std::size_t{32} << 10;
-  piped.pipeline = true;
-  AsyncOptions unpiped = piped;
-  unpiped.pipeline = false;
-  constexpr int kWorld = 4;
-  const auto scheme = comm::ReductionScheme::ScatterReduceAllgather;
-  auto a = make_engine(layout, kWorld, scheme, piped);
-  auto b = make_engine(layout, kWorld, scheme, unpiped);
-  EXPECT_EQ(run_rounds(a, layout, kWorld, 3),
-            run_rounds(b, layout, kWorld, 3));
-}
-
 TEST(AsyncGradientEngine, NotifyOrderDoesNotChangeResults) {
-  // Layers announced front-to-back instead of back-to-front (all ranks
-  // agreeing) reverses the bucket submission order; per-bucket RNG streams
-  // keep the maths identical.
+  // Layers announced front-to-back instead of back-to-front complete the
+  // buckets in reverse plan order. The release frontier still submits them
+  // in canonical plan order, and per-bucket RNG streams would keep the
+  // maths identical even if it did not.
   const auto layout = transformer_like_layout();
   constexpr int kWorld = 4;
   AsyncOptions aopts;
@@ -228,6 +214,10 @@ TEST(AsyncGradientEngine, StepReportTimingFilled) {
     EXPECT_TRUE(report.ok);
     EXPECT_EQ(report.attempts,
               static_cast<int>(engine.plan().total_submissions()));
+    EXPECT_EQ(report.world, kWorld);  // the launch world, no movement
+    EXPECT_EQ(report.epoch, 0u);
+    EXPECT_EQ(report.departed, 0);
+    EXPECT_EQ(report.joined, 0);
     EXPECT_GT(report.timing.comm_s, 0.0);
     EXPECT_GE(report.timing.compute_s, 0.0);
     EXPECT_GE(report.timing.exposed_comm_s, 0.0);

@@ -127,6 +127,62 @@ TEST(AsyncEngineFault, FailedBucketRoundRetriesBitIdentically) {
   }
 }
 
+TEST(AsyncEngineFault, FailedPacketRoundRetriesBitIdentically) {
+  constexpr int kWorld = 2;
+  constexpr int kRounds = 3;
+  const auto layout = small_layout();
+
+  EngineOptions clean_options;
+  auto clean = make_engine(layout, kWorld, clean_options, /*overlap=*/true);
+  ASSERT_TRUE(clean.plan().has_packet);
+  const std::size_t submissions = clean.plan().total_submissions();
+  comm::ShmTransport clean_transport(kWorld);
+  const auto want =
+      run_rounds(clean, layout, clean_transport, kWorld, kRounds);
+
+  // Buckets are released in canonical plan order, so the packet is the
+  // last submission of every step: the second step's packet is round
+  // 2 * submissions - 1 on every rank.
+  comm::FaultInjector injector(/*seed=*/1, kWorld);
+  injector.schedule_round_failure(2 * submissions - 1);
+  EngineOptions options = clean_options;
+  options.max_round_retries = 1;
+  options.injector = &injector;
+  auto engine = make_engine(layout, kWorld, options, /*overlap=*/true);
+
+  comm::ShmTransport transport(kWorld);
+  std::vector<std::vector<float>> got(kWorld);
+  comm::run_world(transport, [&](comm::Comm& comm) {
+    util::Rng rng(6000 + static_cast<std::uint64_t>(comm.rank()));
+    std::vector<float> grad;
+    for (int round = 0; round < kRounds; ++round) {
+      grad = rank_gradient(layout, comm.rank(), round);
+      engine.allreduce(comm, grad, rng);
+      const StepReport& report = engine.last_step_report(comm.rank());
+      EXPECT_TRUE(report.ok);
+      EXPECT_EQ(report.retries, round == 1 ? 1 : 0) << "step " << round;
+      EXPECT_EQ(report.attempts,
+                static_cast<int>(submissions) + (round == 1 ? 1 : 0));
+      // The packet launched last (plan order packs it after every bucket).
+      const auto& events = report.timing.buckets;
+      const double packet_launch = events[submissions - 1].launch_s;
+      for (std::size_t i = 0; i + 1 < submissions; ++i) {
+        EXPECT_LE(events[i].launch_s, packet_launch);
+      }
+      comm.barrier();
+    }
+    got[static_cast<std::size_t>(comm.rank())] = grad;
+  });
+
+  for (int r = 0; r < kWorld; ++r) {
+    const auto& g = got[static_cast<std::size_t>(r)];
+    const auto& w = want[static_cast<std::size_t>(r)];
+    ASSERT_EQ(g.size(), w.size());
+    EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size() * sizeof(float)), 0)
+        << "rank " << r << ": the retried packet changed the result";
+  }
+}
+
 TEST(AsyncEngineFault, LossyWiresUnderOverlapNeverChangeTheMaths) {
   constexpr int kWorld = 4;
   constexpr int kRounds = 2;

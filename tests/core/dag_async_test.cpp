@@ -1,5 +1,5 @@
-// DAG-executor x streaming-engine composition tests: ordered bucket launch
-// and multi-lane comm threads are bit-identical to the legacy inline path
+// DAG-executor x streaming-engine composition tests: canonical-order bucket
+// launch and multi-lane comm threads are bit-identical to the inline path
 // across reduction schemes and world sizes; per-bucket launch/finish
 // timestamps land in the StepReport; round retries force a single lane and
 // still recover bitwise; and the trainer's dag_threads / overlap_comm_lanes
@@ -75,9 +75,10 @@ std::vector<std::vector<float>> run_rounds(AsyncGradientEngine& engine,
 }
 
 TEST(DagAsync, OrderedLanesBitIdenticalToInlineAcrossSchemesAndWorlds) {
-  // The DAG-executor contract: ordered launch + any lane count produces
-  // the exact bits of the facade's inline mode. Per-bucket RNG streams and
-  // the canonical release frontier make the schedule immaterial.
+  // The DAG-executor contract: canonical-order launch + any lane count
+  // produces the exact bits of the facade's inline mode. Per-bucket RNG
+  // streams and the canonical release frontier make the schedule
+  // immaterial.
   const auto layout = transformer_like_layout();
   AsyncOptions inline_opts;
   inline_opts.bucket_bytes = std::size_t{32} << 10;
@@ -92,11 +93,9 @@ TEST(DagAsync, OrderedLanesBitIdenticalToInlineAcrossSchemesAndWorlds) {
       for (int lanes : {1, 2}) {
         AsyncOptions aopts = inline_opts;
         aopts.overlap = true;
-        aopts.ordered_launch = true;
         aopts.comm_lanes = lanes;
         auto engine = make_engine(layout, world, scheme, aopts);
         EXPECT_EQ(engine.comm_lanes(), lanes);
-        EXPECT_TRUE(engine.ordered_launch());
         const auto got = run_rounds(engine, layout, world, 2);
         for (int r = 0; r < world; ++r) {
           const auto& g = got[static_cast<std::size_t>(r)];
@@ -121,8 +120,6 @@ TEST(DagAsync, LaneCountClampsToTagSpaceBound) {
   auto engine = make_engine(
       layout, 2, comm::ReductionScheme::ScatterReduceAllgather, aopts);
   EXPECT_EQ(engine.comm_lanes(), comm::kMaxCommLanes);
-  // comm_lanes > 1 implies ordered launch even when not requested.
-  EXPECT_TRUE(engine.ordered_launch());
   const auto got = run_rounds(engine, layout, 2, 1);
   EXPECT_EQ(got[0], got[1]);
 }
@@ -248,7 +245,6 @@ TEST(DagAsync, RetriesForceSingleLaneAndRecoverBitwise) {
   AsyncOptions aopts;
   aopts.bucket_bytes = std::size_t{32} << 10;
   aopts.overlap = true;
-  aopts.ordered_launch = true;
 
   auto clean = make_engine(
       layout, kWorld, comm::ReductionScheme::Ring, aopts);

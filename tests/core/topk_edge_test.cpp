@@ -49,6 +49,17 @@ TEST(TopKEdge, EmptyInputRoundTrip) {
   for (float v : out) EXPECT_EQ(v, 0.0f);
 }
 
+TEST(TopKEdgeDeathTest, CraftedCountCannotWrapThePayloadSizeCheck) {
+  // k = 2^61 makes 8 + 8 * k wrap to 8, the size of this header-only
+  // payload; decompress must reject the count instead of reading k entries.
+  const std::uint64_t k = std::uint64_t{1} << 61;
+  std::vector<std::byte> payload(8);
+  std::memcpy(payload.data(), &k, sizeof(k));
+  TopKCompressor topk(0.1);
+  std::vector<float> out(16);
+  EXPECT_DEATH(topk.decompress(payload, out), "CHECK failed: \\(k64\\)<=");
+}
+
 TEST(TopKEdge, DenseSendIsLossless) {
   TopKCompressor topk(1.0);
   util::Rng rng(2);

@@ -4,7 +4,9 @@
 #   asan     (AddressSanitizer build of the same suite)
 #   tsan     (ThreadSanitizer; runs only tests labeled concurrency-sensitive)
 #   bench-smoke (Release build; one tiny config of each BENCH_*-writing
-#                bench, JSON written under build-release/results)
+#                bench, JSON written under build-release/results; then a
+#                2-second perfbench run of every BENCHMARK.json workload,
+#                built under build-release/perfbench)
 # Usage: tools/run_checks.sh [preset ...]   (no args = default+asan+tsan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,6 +39,18 @@ for preset in "${presets[@]}"; do
     (cd build-release && ./bench/bench_micro_compressors --smoke)
     (cd build-release && ./bench/bench_micro_compute --smoke)
     (cd build-release && ./bench/bench_micro_memory --smoke)
+    # The benchmark's own correctness gates (bit-identical ranks, finite
+    # and falling losses, the sync workloads' error band): one short run of
+    # every workload BENCHMARK.json names. run.py exits nonzero when a
+    # check fails, and set -e fails the preset with it.
+    echo "==== [bench-smoke] perfbench"
+    workloads=$(python3 -c 'import json
+spec = json.load(open("BENCHMARK.json"))
+print(" ".join(w["name"] for w in spec["workloads"]))')
+    for workload in $workloads; do
+      CARGO_TARGET_DIR="$PWD/build-release/perfbench" \
+        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2
+    done
     continue
   fi
   echo "==== [$preset] configure"
