@@ -5,6 +5,7 @@
 
 #include "comm/fault.h"
 #include "comm/tagspace.h"
+#include "comm/world.h"
 #include "util/check.h"
 
 namespace cgx::comm {
@@ -12,69 +13,34 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// The 16-byte epoch-stamped vote exchanged between survivors during a
-// membership round. `dead_mask` bit r set means "I have evidence rank r is
-// gone" — the union over all ballots is the agreed dead set.
-struct Ballot {
-  std::uint64_t epoch;
-  std::uint64_t dead_mask;
-};
-static_assert(sizeof(Ballot) == 16);
-
 std::chrono::milliseconds remaining_ms(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - Clock::now());
   return std::max(left, std::chrono::milliseconds{1});
 }
 
+// timeout <= 0 waits forever.
+bool arrive(util::Barrier& gate, std::chrono::milliseconds timeout) {
+  if (timeout.count() > 0) return gate.arrive_and_wait_for(timeout);
+  gate.arrive_and_wait();
+  return true;
+}
+
 }  // namespace
-
-// ------------------------------------------------------------------- Gate
-
-void Membership::Gate::set_expected(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  expected_ = n;
-  maybe_fire_locked();
-}
-
-bool Membership::Gate::arrive(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const std::uint64_t gen = generation_;
-  ++arrived_;
-  maybe_fire_locked();
-  const auto fired = [this, gen] { return generation_ != gen; };
-  if (fired()) return true;
-  if (timeout.count() <= 0) {
-    cv_.wait(lock, fired);
-    return true;
-  }
-  if (cv_.wait_for(lock, timeout, fired)) return true;
-  // Withdraw the arrival so a later population starts from a clean count
-  // (same contract as util::Barrier::arrive_and_wait_for).
-  --arrived_;
-  return false;
-}
-
-void Membership::Gate::maybe_fire_locked() {
-  if (expected_ > 0 && arrived_ >= expected_) {
-    arrived_ = 0;
-    ++generation_;
-    cv_.notify_all();
-  }
-}
 
 // ------------------------------------------------------------- Membership
 
-Membership::Membership(int world_size)
+Membership::Membership(int world_size, Kind kind)
     : world_size_(world_size),
+      kind_(kind),
       status_(static_cast<std::size_t>(world_size), Status::kActive),
       failed_(static_cast<std::size_t>(world_size)),
       errors_(static_cast<std::size_t>(world_size)),
       departure_step_(static_cast<std::size_t>(world_size), kNoStep),
-      rejoin_step_(static_cast<std::size_t>(world_size), kNoStep) {
+      rejoin_step_(static_cast<std::size_t>(world_size), kNoStep),
+      step_gate_(static_cast<std::size_t>(world_size)),
+      recovery_gate_(static_cast<std::size_t>(world_size)) {
   CGX_CHECK_GT(world_size, 0);
-  CGX_CHECK_LE(world_size, kMaxElasticWorld)
-      << "elastic membership ballots carry the dead set as a u64 bitmask";
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<int> active(static_cast<std::size_t>(world_size));
   for (int r = 0; r < world_size; ++r) active[static_cast<std::size_t>(r)] = r;
@@ -126,13 +92,15 @@ std::vector<int> Membership::snapshot_survivors() const {
   return survivors;
 }
 
-std::uint64_t Membership::dead_mask() const {
+std::vector<std::uint64_t> Membership::dead_set() const {
   const WorldView* v = view();
-  std::uint64_t mask = 0;
+  std::vector<std::uint64_t> words(
+      (static_cast<std::size_t>(world_size_) + 63) / 64, 0);
   for (int r : v->active) {
-    if (is_failed(r)) mask |= std::uint64_t{1} << r;
+    if (is_failed(r)) words[static_cast<std::size_t>(r) / 64] |=
+        std::uint64_t{1} << (r % 64);
   }
-  return mask;
+  return words;
 }
 
 void Membership::schedule_departure(int global_rank, std::uint64_t step) {
@@ -179,16 +147,22 @@ bool Membership::exchange_votes(Comm& comm, const std::vector<int>& survivors,
                                 Clock::time_point deadline) {
   Transport& transport = comm.transport();
   const int me = comm.global_rank();
-  Ballot mine{epoch(), dead_mask()};
-  const auto mine_bytes = std::as_bytes(std::span<const Ballot>(&mine, 1));
+  // The epoch-stamped vote: word 0 is the epoch, the rest the dead-set
+  // bitset (bit r set means "I have evidence rank r is gone"). The union
+  // over all ballots is the agreed dead set.
+  const std::vector<std::uint64_t> dead = dead_set();
+  std::vector<std::uint64_t> mine(1 + dead.size());
+  mine[0] = epoch();
+  std::copy(dead.begin(), dead.end(), mine.begin() + 1);
+  const auto mine_bytes = std::as_bytes(std::span<const std::uint64_t>(mine));
   for (int peer : survivors) {
     if (peer != me) transport.send(me, peer, mine_bytes, kMembershipTag);
   }
+  std::vector<std::uint64_t> theirs(mine.size());
   for (int peer : survivors) {
     if (peer == me) continue;
-    Ballot theirs{};
     const auto theirs_bytes =
-        std::as_writable_bytes(std::span<Ballot>(&theirs, 1));
+        std::as_writable_bytes(std::span<std::uint64_t>(theirs));
     for (;;) {
       if (is_failed(peer)) return false;  // died mid-round: re-snapshot
       try {
@@ -198,18 +172,19 @@ bool Membership::exchange_votes(Comm& comm, const std::vector<int>& survivors,
         if (Clock::now() >= deadline) throw;
       }
     }
-    CGX_CHECK_EQ(theirs.epoch, mine.epoch)
+    CGX_CHECK_EQ(theirs[0], mine[0])
         << "membership ballot from a different epoch (stale frame leaked "
            "past the fence?)";
     // Union the peer's evidence into the oracle.
     for (int r = 0; r < world_size_; ++r) {
-      if ((theirs.dead_mask >> r) & 1u) {
+      const std::size_t r_u = static_cast<std::size_t>(r);
+      if ((theirs[1 + r_u / 64] >> (r_u % 64)) & 1u) {
         if (!is_failed(r)) mark_rank_failed(r, nullptr);
       }
     }
   }
   // Agreement iff the round taught us nothing new.
-  return dead_mask() == mine.dead_mask;
+  return dead_set() == dead;
 }
 
 void Membership::apply_crash_delta(std::uint64_t e0, Transport& transport,
@@ -246,6 +221,8 @@ void Membership::apply_crash_delta(std::uint64_t e0, Transport& transport,
 Membership::Recovery Membership::recover(Comm& comm,
                                          std::chrono::milliseconds timeout,
                                          const ReshardFn& on_reshard) {
+  // A fixed world has no crashes to classify: every failure is transient.
+  if (!admits_departures()) return Recovery::kTransient;
   Transport& transport = comm.transport();
   const CommPolicy& pol = transport.policy();
   CGX_CHECK(pol.bounded())
@@ -279,11 +256,11 @@ Membership::Recovery Membership::recover(Comm& comm,
         << "rank " << me << " entered recovery while marked dead";
     if (!exchange_votes(comm, survivors, deadline)) continue;
 
-    // Gate 1: every survivor holds the same dead set. The expected count is
+    // Gate 1: every survivor holds the same dead set. The party count is
     // shared gate state, so a waiter parked by an earlier (smaller) round
     // is released when the corrected population completes.
-    recovery_gate_.set_expected(survivors.size());
-    if (!recovery_gate_.arrive(remaining_ms(deadline))) {
+    recovery_gate_.set_parties(survivors.size());
+    if (!recovery_gate_.arrive_and_wait_for(remaining_ms(deadline))) {
       if (snapshot_survivors() != survivors) continue;  // cascade: re-vote
       throw TimeoutError(-1, me, kMembershipTag, timeout,
                          "membership agreement gate");
@@ -293,8 +270,8 @@ Membership::Recovery Membership::recover(Comm& comm,
     }
     // Gate 2: nobody resumes until the delta (fence, flush, rebuild) is
     // fully applied.
-    recovery_gate_.set_expected(survivors.size());
-    if (!recovery_gate_.arrive(remaining_ms(deadline))) {
+    recovery_gate_.set_parties(survivors.size());
+    if (!recovery_gate_.arrive_and_wait_for(remaining_ms(deadline))) {
       throw TimeoutError(-1, me, kMembershipTag, timeout,
                          "membership commit gate");
     }
@@ -334,8 +311,8 @@ Membership::StepAction Membership::apply_scheduled(
   }
 
   // Gate 1: all pre-delta actives AND the admitted joiners.
-  recovery_gate_.set_expected(expected);
-  CGX_CHECK(recovery_gate_.arrive(admission_timeout_))
+  recovery_gate_.set_parties(expected);
+  CGX_CHECK(recovery_gate_.arrive_and_wait_for(admission_timeout_))
       << "rank " << me << ": scheduled membership delta at step " << step
       << " never assembled";
   if (me == v0->active.front()) {
@@ -383,8 +360,8 @@ Membership::StepAction Membership::apply_scheduled(
   }
   // Gate 2: same population; nobody (joiner included) proceeds until the
   // new view is fully installed.
-  recovery_gate_.set_expected(expected);
-  CGX_CHECK(recovery_gate_.arrive(admission_timeout_))
+  recovery_gate_.set_parties(expected);
+  CGX_CHECK(recovery_gate_.arrive_and_wait_for(admission_timeout_))
       << "rank " << me << ": scheduled membership delta at step " << step
       << " never committed";
   act.changed = true;
@@ -420,12 +397,12 @@ Membership::Admission Membership::await_rejoin(
     }
     expected = v->active.size() + joiners;
   }
-  recovery_gate_.set_expected(expected);
-  CGX_CHECK(recovery_gate_.arrive(admission_timeout_))
+  recovery_gate_.set_parties(expected);
+  CGX_CHECK(recovery_gate_.arrive_and_wait_for(admission_timeout_))
       << "rank " << me << ": admission gate 1 never assembled";
   // The delta leader (a survivor) installs the new view between the gates.
-  recovery_gate_.set_expected(expected);
-  CGX_CHECK(recovery_gate_.arrive(admission_timeout_))
+  recovery_gate_.set_parties(expected);
+  CGX_CHECK(recovery_gate_.arrive_and_wait_for(admission_timeout_))
       << "rank " << me << ": admission gate 2 never committed";
   Admission adm;
   {
@@ -441,13 +418,13 @@ Membership::Admission Membership::await_rejoin(
 // ------------------------------------------------------------------ gates
 
 bool Membership::step_barrier(std::chrono::milliseconds timeout) {
-  step_gate_.set_expected(static_cast<std::size_t>(active_count()));
-  return step_gate_.arrive(timeout);
+  step_gate_.set_parties(static_cast<std::size_t>(active_count()));
+  return arrive(step_gate_, timeout);
 }
 
 bool Membership::recovery_barrier(std::chrono::milliseconds timeout) {
-  recovery_gate_.set_expected(static_cast<std::size_t>(active_count()));
-  return recovery_gate_.arrive(timeout);
+  recovery_gate_.set_parties(static_cast<std::size_t>(active_count()));
+  return arrive(recovery_gate_, timeout);
 }
 
 }  // namespace cgx::comm

@@ -1,30 +1,38 @@
-// Elastic membership: survivor agreement, epoch-fenced world re-shard, and
+// World membership: survivor agreement, epoch-fenced world re-shard, and
 // rejoin (DESIGN.md §5h).
 //
-// One Membership instance is shared by every device thread of an elastic
-// run_world. It owns three pieces of state:
+// Every run_world runs its ranks over one Membership, shared by all device
+// threads. An ELASTIC membership is the caller's (WorldOptions): a rank
+// that dies with a FaultInjectedError is a survivable departure. A FIXED
+// membership is the one run_world makes itself when the caller passes none:
+// it admits no departures, so every failure it sees is transient and a
+// crash stays a WorkerError. Both run the same gates and the same recovery
+// ladder. A Membership owns three pieces of state:
 //
 //   * The failure ORACLE: `mark_rank_failed` is called from a dying worker
 //     thread's unwind (run_world's FaultInjectedError handler), so by the
 //     time any survivor's deadline-bounded wait expires the oracle already
 //     knows whether the stall was a crash or a transient wire fault.
-//   * The WORLD VIEW: an immutable, epoch-stamped WorldView (comm/world.h)
-//     behind an atomic pointer. Views are retained forever (history_), so a
-//     reader may hold a view pointer across a whole collective.
-//   * Two GATES — reusable counting barriers with a shared expected count.
-//     The step gate serves Comm::barrier/try_barrier (the engine's per-step
-//     commit fence); the recovery gate serves everything recovery-shaped
-//     (vote agreement, delta commit, admission, transient quiesce). Keeping
-//     the two populations on separate gates means a rank parked at the step
+//   * The WORLD VIEW: an immutable, epoch-stamped WorldView behind an
+//     atomic pointer. Views are retained forever (history_), so a reader
+//     may hold a view pointer across a whole collective.
+//   * Two GATES — util::Barriers whose party count every participant
+//     re-derives from the current view right before arriving. The step
+//     gate serves Comm::barrier/try_barrier (the engine's per-round commit
+//     fence); the recovery gate serves everything recovery-shaped (vote
+//     agreement, delta commit, admission, transient quiesce). Keeping the
+//     two populations on separate gates means a rank parked at the step
 //     fence can never be released by a recovery round, and vice versa.
 //
 // Protocol sketch for a crash (see Membership::recover):
 //   1. A survivor's collective op throws TimeoutError; the engine calls
 //      reshard_world -> recover. A short grace wait classifies the failure
-//      against the oracle (no pending failure -> kTransient).
-//   2. Survivors exchange 16-byte epoch-stamped Ballots over their live
-//      links on kMembershipTag and union each other's dead sets; a round
-//      that learns of a new death re-snapshots and re-votes.
+//      against the oracle (no pending failure -> kTransient). A fixed world
+//      skips the grace: it has no crashes to wait for.
+//   2. Survivors exchange epoch-stamped Ballots over their live links on
+//      kMembershipTag and union each other's dead sets; a round that learns
+//      of a new death re-snapshots and re-votes. A ballot carries the dead
+//      set as a bitset sized to the launch world: 16 bytes up to 64 ranks.
 //   3. All survivors collect on the recovery gate; the lowest surviving
 //      rank applies the delta exactly once: statuses flip, the epoch bumps,
 //      a new WorldView is published, the transport's frame epoch is bumped
@@ -49,24 +57,49 @@
 #include <mutex>
 #include <vector>
 
-#include "comm/world.h"
+#include "comm/transport.h"
+#include "util/barrier.h"
 
 namespace cgx::comm {
 
+class Comm;
 class FaultInjector;
+
+// One immutable epoch of world membership. Published by Membership behind an
+// atomic pointer and never mutated afterwards, so readers may hold the
+// pointer across an entire collective without locking. `active` lists the
+// surviving GLOBAL (launch-time) ranks in ascending order; dense rank i is
+// by definition active[i], which keeps survivor renumbering deterministic.
+struct WorldView {
+  std::uint64_t epoch = 0;
+  std::vector<int> active;    // sorted global ranks
+  std::vector<int> dense_of;  // global rank -> dense rank, -1 when inactive
+
+  int active_count() const { return static_cast<int>(active.size()); }
+  bool is_active(int global) const {
+    return dense_of[static_cast<std::size_t>(global)] >= 0;
+  }
+  int dense_rank(int global) const {
+    return dense_of[static_cast<std::size_t>(global)];
+  }
+  int global_rank(int dense) const {
+    return active[static_cast<std::size_t>(dense)];
+  }
+};
 
 class Membership {
  public:
   static constexpr std::uint64_t kNoStep = ~std::uint64_t{0};
-  // Ballots carry the dead set as a u64 bitmask; elastic worlds are capped
-  // accordingly (launch worlds beyond this still run non-elastic).
-  static constexpr int kMaxElasticWorld = 64;
 
-  explicit Membership(int world_size);
+  enum class Kind { kElastic, kFixed };
+  explicit Membership(int world_size, Kind kind = Kind::kElastic);
   Membership(const Membership&) = delete;
   Membership& operator=(const Membership&) = delete;
 
   int world_size() const { return world_size_; }
+  // Whether a rank may leave this world and the rest carry on: true for an
+  // elastic membership, false for a fixed one (a crash ends the run).
+  bool admits_departures() const { return kind_ == Kind::kElastic; }
   std::uint64_t epoch() const { return view()->epoch; }
   // The current view. Never null; immutable once published.
   const WorldView* view() const {
@@ -109,8 +142,9 @@ class Membership {
   // Entered by a survivor whose collective op failed. Classifies the
   // failure, runs survivor agreement, and (leader only) applies the
   // membership delta. Throws TimeoutError when agreement cannot be reached
-  // before `timeout`; the engine's round retry re-enters. Requires a
-  // bounded CommPolicy — votes to a dead peer must be able to expire.
+  // before `timeout`; the engine's round retry re-enters. A crash needs a
+  // bounded CommPolicy — votes to a dead peer must be able to expire. On a
+  // fixed world every failure is kTransient.
   Recovery recover(Comm& comm, std::chrono::milliseconds timeout,
                    const ReshardFn& on_reshard);
 
@@ -137,41 +171,22 @@ class Membership {
   Admission await_rejoin(Comm& comm, std::chrono::milliseconds timeout);
 
   // ---- barriers over the current survivor set ----
-  // Step fence: what Comm::barrier/try_barrier route to in elastic mode.
+  // timeout <= 0 waits forever (and returns true).
+  // Step fence: what Comm::barrier/try_barrier route to.
   bool step_barrier(std::chrono::milliseconds timeout);
   // Recovery-population barrier: the engine's transient-fault quiesce uses
   // this so it can never collide with ranks parked at the step fence.
   bool recovery_barrier(std::chrono::milliseconds timeout);
 
  private:
-  // Reusable counting barrier. `expected_` is shared state (set_expected),
-  // not an arrival argument: every participant re-derives it from current
-  // membership right before arriving, so a waiter parked with a stale count
-  // is released the moment a later arrival (with the corrected count)
-  // completes the population. Timeout withdraws the arrival, mirroring
-  // util::Barrier::arrive_and_wait_for.
-  class Gate {
-   public:
-    void set_expected(std::size_t n);
-    // timeout <= 0 waits forever.
-    bool arrive(std::chrono::milliseconds timeout);
-
-   private:
-    void maybe_fire_locked();
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::size_t expected_ = 0;
-    std::size_t arrived_ = 0;
-    std::uint64_t generation_ = 0;
-  };
-
   enum class Status : std::uint8_t { kActive, kCrashed, kDeparted };
 
   // Requires mu_. Assigns the (pre-bumped) epoch_, retains the view in
   // history_, publishes it.
   const WorldView* publish_locked(std::vector<int> active);
   std::vector<int> snapshot_survivors() const;  // active && !failed, sorted
-  std::uint64_t dead_mask() const;              // pending failures as bits
+  // Pending failures as a bitset: one u64 word per 64 launch ranks.
+  std::vector<std::uint64_t> dead_set() const;
   // One all-to-all ballot round over `survivors`. Returns false when the
   // round learned of a new death (caller re-snapshots and re-votes).
   bool exchange_votes(Comm& comm, const std::vector<int>& survivors,
@@ -182,6 +197,7 @@ class Membership {
                          const ReshardFn& on_reshard);
 
   const int world_size_;
+  const Kind kind_;
   mutable std::mutex mu_;
   std::condition_variable join_cv_;
   std::vector<Status> status_;                   // guarded by mu_
@@ -204,8 +220,8 @@ class Membership {
   // meaningful without a config knob.
   std::chrono::milliseconds admission_timeout_{10000};
 
-  Gate step_gate_;
-  Gate recovery_gate_;
+  util::Barrier step_gate_;
+  util::Barrier recovery_gate_;
 };
 
 }  // namespace cgx::comm

@@ -261,81 +261,4 @@ void SimNetTransport::reset_inbound(int rank) {
   }
 }
 
-// ---------------------------------------------------- HierarchicalTransport
-
-HierarchicalTransport::HierarchicalTransport(Transport& inner,
-                                             Topology topology)
-    : Transport(topology.world_size()),
-      inner_(inner),
-      topo_(std::move(topology)) {
-  CGX_CHECK_EQ(inner_.world_size(), topo_.world_size());
-}
-
-void HierarchicalTransport::send(int src, int dst,
-                                 std::span<const std::byte> data, int tag) {
-  inner_.send(src, dst, data, tag);
-}
-
-void HierarchicalTransport::recv(int dst, int src, std::span<std::byte> data,
-                                 int tag) {
-  inner_.recv(dst, src, data, tag);
-}
-
-bool HierarchicalTransport::supports_recv_add() const {
-  return inner_.supports_recv_add();
-}
-
-void HierarchicalTransport::recv_add(int dst, int src, std::span<float> data,
-                                     int tag) {
-  inner_.recv_add(dst, src, data, tag);
-}
-
-bool HierarchicalTransport::supports_direct_exchange() const {
-  return topo_.is_single_node() && inner_.supports_direct_exchange();
-}
-
-bool HierarchicalTransport::supports_direct_exchange(int a, int b) const {
-  return topo_.same_node(a, b) && inner_.supports_direct_exchange(a, b);
-}
-
-void HierarchicalTransport::direct_post(int src, int dst,
-                                        std::span<const float> data,
-                                        int tag) {
-  inner_.direct_post(src, dst, data, tag);
-}
-
-void HierarchicalTransport::direct_pull(int dst, int src,
-                                        std::span<float> data, bool add,
-                                        int tag) {
-  inner_.direct_pull(dst, src, data, add, tag);
-}
-
-void HierarchicalTransport::direct_pull2(int dst, int src1, int src2,
-                                         std::span<float> data, int tag) {
-  inner_.direct_pull2(dst, src1, src2, data, tag);
-}
-
-void HierarchicalTransport::direct_wait(int src, int dst, int tag) {
-  inner_.direct_wait(src, dst, tag);
-}
-
-int HierarchicalTransport::select_source(int dst,
-                                         std::span<const int> candidates,
-                                         int tag) {
-  return inner_.select_source(dst, candidates, tag);
-}
-
-void HierarchicalTransport::set_policy(const CommPolicy& policy) {
-  Transport::set_policy(policy);
-  inner_.set_policy(policy);
-}
-
-void HierarchicalTransport::set_fault_injector(FaultInjector* injector) {
-  inner_.set_fault_injector(injector);
-}
-
-void HierarchicalTransport::reset_inbound(int rank) {
-  inner_.reset_inbound(rank);
-}
-
 }  // namespace cgx::comm

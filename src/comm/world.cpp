@@ -5,57 +5,38 @@
 #include <vector>
 
 #include "comm/fault.h"
-#include "comm/membership.h"
 #include "util/numa.h"
 
 namespace cgx::comm {
 
-// ---------------------------------------------- Comm elastic translation
+// -------------------------------------------------------------------- Comm
 
-int Comm::dense_rank_() const {
-  return membership_->view()->dense_rank(rank_);
-}
-
-int Comm::active_count_() const { return membership_->active_count(); }
-
-int Comm::to_global_(int dense) const {
-  return membership_->view()->global_rank(dense);
-}
-
-int Comm::select_source_elastic(std::span<const int> candidates, int tag) {
-  // Translate dense candidates to transport (global) ranks on the stack —
-  // this sits on the any-source hot path. Elastic worlds are capped at
-  // Membership::kMaxElasticWorld, well under the buffer.
-  constexpr std::size_t kMaxCandidates = 128;
-  CGX_CHECK_LE(candidates.size(), kMaxCandidates);
-  int global[kMaxCandidates];
-  const WorldView* v = membership_->view();
+int Comm::select_source(std::span<const int> candidates, int tag) {
+  // Translate dense candidates to transport (global) ranks through the
+  // launch-world-sized buffer — this sits on the any-source hot path.
+  CGX_CHECK_LE(candidates.size(), candidates_.size());
+  const WorldView& v = view();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    global[i] = v->global_rank(candidates[i]);
+    candidates_[i] = v.global_rank(candidates[i]);
   }
   const int picked = transport_.select_source(
-      rank_, std::span<const int>(global, candidates.size()), tag);
-  return v->dense_rank(picked);
+      rank_, std::span<const int>(candidates_.data(), candidates.size()),
+      tag);
+  return v.dense_rank(picked);
 }
 
 void Comm::barrier() {
   const CommPolicy& pol = transport_.policy();
-  if (!pol.bounded()) {
-    if (membership_ != nullptr) {
-      membership_->step_barrier(std::chrono::milliseconds{0});  // unbounded
-      return;
-    }
-    barrier_.arrive_and_wait();
-    return;
-  }
-  if (!try_barrier(pol.timeout)) {
+  // An unbounded policy waits forever (timeout 0).
+  const std::chrono::milliseconds timeout =
+      pol.bounded() ? pol.timeout : std::chrono::milliseconds{0};
+  if (!try_barrier(timeout)) {
     throw TimeoutError(-1, rank_, -1, pol.timeout, "world barrier");
   }
 }
 
 bool Comm::try_barrier(std::chrono::milliseconds timeout) {
-  if (membership_ != nullptr) return membership_->step_barrier(timeout);
-  return barrier_.arrive_and_wait_for(timeout);
+  return membership_.step_barrier(timeout);
 }
 
 // --------------------------------------------------------------- run_world
@@ -68,8 +49,11 @@ void run_world(Transport& transport, const std::function<void(Comm&)>& fn,
                const WorldOptions& options) {
   const int n = transport.world_size();
   CGX_CHECK_GT(n, 0);
-  Membership* membership = options.membership;
-  util::Barrier barrier(static_cast<std::size_t>(n));
+  // A fixed world admits no departures: every rank is a peer for life.
+  Membership fixed(n, Membership::Kind::kFixed);
+  Membership& membership =
+      options.membership != nullptr ? *options.membership : fixed;
+  CGX_CHECK_EQ(membership.world_size(), n);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
   // Guarded by threads_mu: a dying elastic worker may append a successor
   // thread for its own rank while the main thread is already joining.
@@ -88,16 +72,16 @@ void run_world(Transport& transport, const std::function<void(Comm&)>& fn,
       // tensors (nn layers rebuild activations every step), which must
       // stay on the heap; only the grow-only engine state binds arenas.
       util::numa::pin_current_thread_for_rank(r);
-      Comm comm(r, transport, barrier, membership);
+      Comm comm(r, transport, membership);
       fn(comm);
     } catch (const FaultInjectedError&) {
-      if (membership != nullptr) {
+      if (membership.admits_departures()) {
         // A survivable crash: publish to the oracle BEFORE any successor
         // exists, so survivors classify the stall correctly, then (when a
         // rejoin is scheduled) hand the rank a fresh incarnation that will
         // wait for admission. No error is recorded — the world lives on.
-        membership->mark_rank_failed(r, std::current_exception());
-        if (membership->rejoin_scheduled(r)) {
+        membership.mark_rank_failed(r, std::current_exception());
+        if (membership.rejoin_scheduled(r)) {
           std::lock_guard<std::mutex> lock(threads_mu);
           threads.emplace_back([&worker, r] { worker(r); });
         }

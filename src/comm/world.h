@@ -5,15 +5,16 @@
 // function — the standard data-parallel SPMD shape. This is the in-process
 // analogue of one training process per GPU.
 //
-// Elastic mode (comm/membership.h): when a Membership is attached via
-// WorldOptions, a Comm becomes a *view* onto the surviving ranks. The thread
-// keeps its launch-time identity (`global_rank()`, stable forever) while
+// Every world runs over a Membership (comm/membership.h): the caller's
+// elastic one (WorldOptions), or a fixed one run_world makes itself. A Comm
+// is a *view* onto the current WorldView's ranks. The thread keeps its
+// launch-time identity (`global_rank()`, stable forever) while
 // `rank()`/`size()` report the DENSE coordinates of the current WorldView —
 // the contiguous renumbering of the survivors that collectives operate in.
 // All peer arguments of the p2p/direct primitives are dense and translated
 // to global transport ranks at the boundary, so collective code is oblivious
-// to membership changes. With no Membership attached every translation is
-// the identity and behaviour is bit-identical to the non-elastic harness.
+// to membership changes. A fixed world never re-shards, so its translation
+// is the identity.
 #pragma once
 
 #include <chrono>
@@ -26,12 +27,10 @@
 #include <string>
 #include <vector>
 
+#include "comm/membership.h"
 #include "comm/transport.h"
-#include "util/barrier.h"
 
 namespace cgx::comm {
-
-class Membership;
 
 // A device thread died with an exception. run_world catches it on the worker
 // thread, annotates it with the rank, and rethrows this on the joining
@@ -50,54 +49,25 @@ class WorkerError : public std::runtime_error {
   std::exception_ptr original;
 };
 
-// One immutable epoch of world membership. Published by Membership behind an
-// atomic pointer and never mutated afterwards, so readers may hold the
-// pointer across an entire collective without locking. `active` lists the
-// surviving GLOBAL (launch-time) ranks in ascending order; dense rank i is
-// by definition active[i], which keeps survivor renumbering deterministic.
-struct WorldView {
-  std::uint64_t epoch = 0;
-  std::vector<int> active;    // sorted global ranks
-  std::vector<int> dense_of;  // global rank -> dense rank, -1 when inactive
-
-  int active_count() const { return static_cast<int>(active.size()); }
-  bool is_active(int global) const {
-    return dense_of[static_cast<std::size_t>(global)] >= 0;
-  }
-  int dense_rank(int global) const {
-    return dense_of[static_cast<std::size_t>(global)];
-  }
-  int global_rank(int dense) const {
-    return active[static_cast<std::size_t>(dense)];
-  }
-};
-
 class Comm {
  public:
-  Comm(int rank, Transport& transport, util::Barrier& barrier,
-       Membership* membership = nullptr)
+  Comm(int rank, Transport& transport, Membership& membership)
       : rank_(rank),
         transport_(transport),
-        barrier_(barrier),
-        membership_(membership) {}
+        membership_(membership),
+        candidates_(static_cast<std::size_t>(membership.world_size())) {}
 
-  // Dense rank within the current WorldView (== global_rank() when no
-  // Membership is attached). Re-reads the view on every call: after a
-  // re-shard the same thread may own a different dense slot.
-  int rank() const { return membership_ == nullptr ? rank_ : dense_rank_(); }
-  int size() const {
-    return membership_ == nullptr ? transport_.world_size() : active_count_();
-  }
+  // Dense rank within the current WorldView. Re-reads the view on every
+  // call: after a re-shard the same thread may own a different dense slot.
+  int rank() const { return view().dense_rank(rank_); }
+  int size() const { return view().active_count(); }
   // Launch-time transport rank: this thread's stable identity across
   // membership changes (data sharding, RNG streams, arenas key off it).
   int global_rank() const { return rank_; }
-  bool elastic() const { return membership_ != nullptr; }
-  Membership* membership() const { return membership_; }
+  Membership& membership() const { return membership_; }
   // Translates a dense rank of the current view to its global transport
-  // rank (identity when non-elastic).
-  int to_global(int dense) const {
-    return membership_ == nullptr ? dense : to_global_(dense);
-  }
+  // rank.
+  int to_global(int dense) const { return view().global_rank(dense); }
   Transport& transport() { return transport_; }
 
   void send(int to, std::span<const std::byte> data, int tag = 0) {
@@ -151,45 +121,40 @@ class Comm {
   // with bytes pending for this rank under `tag`. Lets collectives take
   // scatter-reduce contributions in whatever order peers produce them.
   // Candidates (and the result) are dense ranks.
-  int select_source(std::span<const int> candidates, int tag = 0) {
-    if (membership_ == nullptr) {
-      return transport_.select_source(rank_, candidates, tag);
-    }
-    return select_source_elastic(candidates, tag);
-  }
+  int select_source(std::span<const int> candidates, int tag = 0);
 
   // Synchronises all ranks in the world (used between training steps and by
-  // collectives that need phase separation in tests). Under a bounded
-  // CommPolicy the wait is deadline-limited and expiry throws a TimeoutError
-  // (src = -1: no single culprit; dst = this rank) — a hung peer turns a
-  // world barrier into a diagnosable failure instead of a deadlock. In
-  // elastic mode the barrier collects the current view's survivors on the
-  // Membership step gate instead of the fixed launch-world barrier.
+  // collectives that need phase separation in tests): the current view's
+  // ranks collect on the Membership step gate. Under a bounded CommPolicy
+  // the wait is deadline-limited and expiry throws a TimeoutError (src =
+  // -1: no single culprit; dst = this rank) — a hung peer turns a world
+  // barrier into a diagnosable failure instead of a deadlock.
   void barrier();
 
   // Deadline-bounded barrier that reports instead of throwing: true once
   // every rank arrived, false on expiry (the arrival is withdrawn; see
-  // util::Barrier::arrive_and_wait_for). The engine's round-retry agreement
-  // protocol uses this to decide whether the world is still whole.
+  // util::Barrier::arrive_and_wait_for). The engine's per-round commit
+  // fence uses this.
   bool try_barrier(std::chrono::milliseconds timeout);
 
  private:
-  int dense_rank_() const;
-  int active_count_() const;
-  int to_global_(int dense) const;
-  int select_source_elastic(std::span<const int> candidates, int tag);
+  const WorldView& view() const { return *membership_.view(); }
 
   const int rank_;
   Transport& transport_;
-  util::Barrier& barrier_;
-  Membership* membership_ = nullptr;
+  Membership& membership_;
+  // select_source's dense -> global translation buffer, sized once to the
+  // launch world (a Comm belongs to one thread).
+  std::vector<int> candidates_;
 };
 
-// Options for run_world. `membership` turns on elastic mode: worker threads
-// that die with a FaultInjectedError are treated as survivable departures
-// (the oracle is informed, no WorkerError is rethrown) and, when a rejoin is
+// Options for run_world. `membership` (an elastic Membership of the
+// transport's world size) turns on elastic mode: worker threads that die
+// with a FaultInjectedError are treated as survivable departures (the
+// oracle is informed, no WorkerError is rethrown) and, when a rejoin is
 // scheduled for that rank, a successor thread is launched to re-run fn as
-// the readmission candidate.
+// the readmission candidate. Without one, run_world runs the ranks over a
+// fixed Membership of its own.
 struct WorldOptions {
   Membership* membership = nullptr;
 };

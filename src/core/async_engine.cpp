@@ -65,13 +65,13 @@ AsyncGradientEngine::AsyncGradientEngine(std::unique_ptr<CgxEngine> inner,
                                          AsyncOptions options)
     : inner_(std::move(inner)),
       options_(options),
-      comm_barrier_(static_cast<std::size_t>(inner_->world_size())),
+      comm_membership_(inner_->world_size(), comm::Membership::Kind::kFixed),
       ranks_(static_cast<std::size_t>(inner_->world_size())) {
   plan_ = build_bucket_plan(inner_->layout(), inner_->resolved(),
                             options_.bucket_bytes);
   pipeline_enabled_ = options_.overlap && inner_->supports_split() &&
                       inner_->options().max_round_retries <= 0;
-  // Retries force a single lane: reshard_world's comm barrier assumes one
+  // Retries force a single lane: the comm membership's gates count one
   // comm thread per rank. Inline mode has no comm threads at all.
   lanes_ = std::clamp(options_.comm_lanes, 1, comm::kMaxCommLanes);
   if (!options_.overlap || inner_->options().max_round_retries > 0) {
@@ -196,10 +196,10 @@ void AsyncGradientEngine::begin_step(comm::Comm& comm, std::span<float> fused,
   if (options_.overlap) {
     for (auto& lane : st.lanes) {
       if (!lane->comm || &lane->comm->transport() != &comm.transport()) {
-        // Each comm thread gets its own handle over the facade barrier so
-        // its recovery barriers never mix with the training threads'
-        // world barrier.
-        lane->comm.emplace(comm.rank(), comm.transport(), comm_barrier_);
+        // Each comm thread gets its own handle over the comm threads'
+        // membership so its fences and recovery gates never mix with the
+        // training threads' world barrier.
+        lane->comm.emplace(comm.rank(), comm.transport(), comm_membership_);
       }
     }
   }

@@ -45,12 +45,12 @@
 // interleaving can only change WHEN work happens, never what it computes.
 //
 // Fault composition: every submission (bucket or packet) is one round of
-// CgxEngine::run_round, the engine's single retry scope, whose recovery
-// runs over the facade's own comm-thread barrier. Pipelining is disabled
-// when retries are on, because recovery resets inbound channels and would
-// drop the next bucket's in-flight frames. Retries also force
-// comm_lanes = 1: recovery's world-sized comm barrier assumes exactly one
-// comm thread per rank.
+// CgxEngine::run_round, the engine's single retry scope. On the comm
+// threads it runs over the facade's own fixed Membership, separate from the
+// trainer's. Pipelining is disabled when retries are on, because recovery
+// resets inbound channels and would drop the next bucket's in-flight
+// frames. Retries also force comm_lanes = 1: that membership's gates count
+// exactly one comm thread per rank.
 #pragma once
 
 #include <atomic>
@@ -61,8 +61,8 @@
 #include <thread>
 #include <vector>
 
+#include "comm/membership.h"
 #include "core/engine.h"
-#include "util/barrier.h"
 
 namespace cgx::core {
 
@@ -188,7 +188,7 @@ class AsyncGradientEngine final : public GradientEngine {
     std::vector<std::uint32_t> queue;
     std::atomic<std::uint32_t> q_tail{0};  // producer-advanced
     std::atomic<std::uint32_t> q_head{0};  // consumer-advanced
-    std::optional<comm::Comm> comm;  // comm-thread handle (facade barrier)
+    std::optional<comm::Comm> comm;  // comm-thread handle (own membership)
     std::uint32_t submitted = 0;  // lane-local; parity picks the arena
     double compress_s = 0.0;      // consumer-written, read after drain
     double comm_busy_s = 0.0;
@@ -249,7 +249,9 @@ class AsyncGradientEngine final : public GradientEngine {
   std::vector<int> lane_of_;
   bool pipeline_enabled_ = false;
   int lanes_ = 1;  // resolved comm_lanes (clamped / forced to 1)
-  util::Barrier comm_barrier_;  // world-sized, comm threads only
+  // The comm threads' own fixed world: their commit fences and recovery
+  // gates never mix with the training threads' population.
+  comm::Membership comm_membership_;
   std::vector<RankState> ranks_;
 };
 

@@ -322,8 +322,10 @@ void CgxEngine::run_round(comm::Comm& comm, std::span<float> fused,
     return report_mutex != nullptr ? std::unique_lock(*report_mutex)
                                    : std::unique_lock<std::mutex>();
   };
-  const bool elastic = comm.elastic();
-  const int budget = elastic
+  // Every crash consumes a retry and up to world-1 ranks can depart, so a
+  // world that admits departures retries at least 2 x world times; a fixed
+  // world keeps the configured budget.
+  const int budget = comm.membership().admits_departures()
                          ? std::max(options_.max_round_retries, 2 * world_size_)
                          : options_.max_round_retries;
   // A failed attempt leaves the rollback layers partially reduced
@@ -354,12 +356,13 @@ void CgxEngine::run_round(comm::Comm& comm, std::span<float> fused,
                                  "synthetic round failure (fault harness)");
       }
       body(context);
-      if (elastic) {
-        // Commit fence: a step only counts when every CURRENT survivor
-        // finished its attempt. A peer that died after this rank's last
-        // receive would otherwise split the world into ranks that committed
-        // and ranks that retried; the fence turns that into a collective
-        // decision (everyone passes or everyone re-shards and retries).
+      if (budget > 0) {
+        // Commit fence: a round only counts when every CURRENT rank
+        // finished its attempt. A peer whose last receive failed (or that
+        // died) after this rank's last send would otherwise split the world
+        // into ranks that committed and ranks that retried; the fence turns
+        // that into a collective decision (everyone passes or everyone
+        // recovers and retries).
         const comm::CommPolicy& pol = comm.transport().policy();
         const std::chrono::milliseconds fence =
             pol.bounded() ? pol.timeout : std::chrono::milliseconds{1000};
@@ -382,8 +385,9 @@ void CgxEngine::run_round(comm::Comm& comm, std::span<float> fused,
       }
       // Every rank must agree to retry and quiesce before buffers are
       // reused; if agreement fails the world is broken for good and the
-      // TimeoutError from reshard_world propagates. In elastic mode this is
-      // where a crashed peer is voted out and the plans shrink.
+      // TimeoutError from reshard_world propagates. On a world that admits
+      // departures this is where a crashed peer is voted out and the plans
+      // shrink.
       reshard_world(comm);
       std::size_t off = 0;
       for (std::size_t l : rollback) {
@@ -408,38 +412,24 @@ std::chrono::milliseconds CgxEngine::derived_recovery_timeout(
 void CgxEngine::reshard_world(comm::Comm& comm) {
   const comm::CommPolicy& pol = comm.transport().policy();
   const std::chrono::milliseconds timeout = derived_recovery_timeout(pol);
-  comm::Membership* membership = comm.membership();
-  if (membership == nullptr) {
-    // Classic (fixed-world) protocol: agree, flush own inbound, agree again
-    // so a fast rank cannot push retry traffic into a channel a slow rank
-    // is still resetting.
-    if (!comm.try_barrier(timeout)) {
-      throw comm::TimeoutError(-1, comm.rank(), -1, timeout,
-                               "round-retry agreement barrier");
-    }
-    comm.transport().reset_inbound(comm.rank());
-    if (!comm.try_barrier(timeout)) {
-      throw comm::TimeoutError(-1, comm.rank(), -1, timeout,
-                               "round-retry reset barrier");
-    }
-    return;
-  }
-  const auto outcome = membership->recover(
+  comm::Membership& membership = comm.membership();
+  const auto outcome = membership.recover(
       comm, timeout, [this](const comm::WorldView& view) { apply_view(view); });
   if (outcome == comm::Membership::Recovery::kReshard) {
     // recover() already fenced the epoch, flushed every rank's inbound and
     // rebuilt the plans under its own gates; the retried attempt can start.
     return;
   }
-  // Transient fault (no pending death): the classic quiesce, but over the
-  // recovery gate so it can never entangle with ranks parked at the step
-  // commit fence.
-  if (!membership->recovery_barrier(timeout)) {
+  // Transient fault (no pending death): agree, flush own inbound, agree
+  // again so a fast rank cannot push retry traffic into a channel a slow
+  // rank is still resetting. Both waits run on the recovery gate, so they
+  // can never entangle with ranks parked at the step commit fence.
+  if (!membership.recovery_barrier(timeout)) {
     throw comm::TimeoutError(-1, comm.global_rank(), -1, timeout,
                              "round-retry agreement barrier");
   }
   comm.transport().reset_inbound(comm.global_rank());
-  if (!membership->recovery_barrier(timeout)) {
+  if (!membership.recovery_barrier(timeout)) {
     throw comm::TimeoutError(-1, comm.global_rank(), -1, timeout,
                              "round-retry reset barrier");
   }

@@ -60,7 +60,8 @@ struct EngineOptions {
   // failure (CommError) before rethrowing. 0 (the default) is fail-fast and
   // costs nothing; > 0 additionally keeps a pre-round snapshot of the
   // round's layers in the workspace so a half-reduced round can be rolled
-  // back. Elastic comms retry at least 2 x world times (see run_round).
+  // back, and fences each round's commit. Elastic worlds retry at least
+  // 2 x world times (see run_round).
   int max_round_retries = 0;
   // Upper bound on each recovery-protocol wait (agreement barriers, the
   // membership vote deadline). 0 = derive from the comm policy: twice its
@@ -114,9 +115,8 @@ struct StepReport {
   bool ok = true;
   int attempts = 0;  // 1 = clean first try
   int retries = 0;
-  // Elastic membership (comm/membership.h): the world this step actually
-  // ran in. Non-elastic runs report epoch 0 and the launch world with no
-  // movement. `departed`/`joined` compare against this rank's previous
+  // Membership (comm/membership.h): the world this step actually ran in.
+  // Fixed worlds report epoch 0 and the launch world with no movement. `departed`/`joined` compare against this rank's previous
   // step, so the step that absorbed a crash reports departed > 0 and the
   // step after a readmission reports joined > 0.
   std::uint64_t epoch = 0;
@@ -232,17 +232,19 @@ class CgxEngine final : public GradientEngine {
   // over all layers, and AsyncGradientEngine for each bucket and for the
   // packet. Calls attempt() until it succeeds or the retry budget is spent:
   //
-  //   * Retries off (max_round_retries <= 0 on a fixed world): one
-  //     attempt, no snapshot copy, no injector lookup; a CommError is
-  //     recorded in `report` and rethrown.
+  //   * The budget: max_round_retries on a fixed world; at least
+  //     2 x world on a world that admits departures (every crash consumes
+  //     a retry and up to world-1 ranks can die).
+  //   * Retries off (budget 0, a fixed world with max_round_retries <= 0):
+  //     one attempt, no commit fence, no snapshot copy, no injector
+  //     lookup; a CommError is recorded in `report` and rethrown.
   //   * Retries on: `rollback`'s layers of `fused` are snapshotted into
   //     `ws` before the first attempt and restored after each failed one
   //     (an empty list means the attempt re-reads its inputs, as the
-  //     packet does). `round` keys FaultInjector::round_fails. Between
-  //     attempts every rank runs reshard_world().
-  //   * Elastic comms retry at least 2 x world times — every crash consumes
-  //     a retry and up to world-1 ranks can die — and a step only commits
-  //     once every current survivor passes the commit fence.
+  //     packet does). `round` keys FaultInjector::round_fails. An attempt
+  //     only commits once every current rank passes the commit fence (the
+  //     Membership step gate); between attempts every rank runs
+  //     reshard_world().
   //
   // `report_mutex` guards `report` when several comm lanes share it; null
   // when one thread owns the report. Every rank must run the same rounds.
@@ -321,14 +323,14 @@ class CgxEngine final : public GradientEngine {
                  std::mutex* report_mutex, void (*body)(const void*),
                  const void* context);
 
-  // Round-retry recovery protocol, run by run_round() between attempts.
-  // Non-elastic comms run the classic deadline-bounded agreement barrier /
-  // per-rank inbound reset / second barrier. Elastic comms
-  // (comm/membership.h) instead run survivor agreement: a transient fault
-  // quiesces over the recovery gate; a crash re-shards the world
-  // (apply_view rebuilds this engine's plans) and the retried attempt runs
-  // in the shrunken world. Throws TimeoutError if agreement cannot be
-  // reached. All surviving ranks must call it together.
+  // Round-retry recovery protocol, run by run_round() between attempts,
+  // over the comm's Membership (comm/membership.h): a transient fault runs
+  // a deadline-bounded agreement / per-rank inbound reset / second
+  // agreement on the recovery gate; a crash (only on a world that admits
+  // departures) runs survivor agreement and re-shards the world (apply_view
+  // rebuilds this engine's plans), and the retried attempt runs in the
+  // shrunken world. Throws TimeoutError if agreement cannot be reached.
+  // All surviving ranks must call it together.
   void reshard_world(comm::Comm& comm);
   std::chrono::milliseconds derived_recovery_timeout(
       const comm::CommPolicy& pol) const;

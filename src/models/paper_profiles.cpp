@@ -319,35 +319,6 @@ PaperModel two_tower_net() {
   return std::move(b.model);
 }
 
-PaperModel skipjoin_net() {
-  ProfileBuilder b;
-  b.model.name = "SkipJoin";
-  b.model.task = "synthetic";
-  b.model.item_unit = "imgs";
-  b.model.items_per_step_per_gpu = 32;
-  b.model.fp16_wire = false;
-  b.model.throughput = {{GpuKind::V100, 800.0},
-                        {GpuKind::A6000, 500.0},
-                        {GpuKind::RTX3090, 600.0},
-                        {GpuKind::RTX2080TI, 300.0}};
-  b.model.fp32_factor = 1.0;
-
-  // ResNet-style residual ladder: each block's conv branch runs beside
-  // the identity skip ("branch." vs the stem/join trunk).
-  b.conv("stem.conv", 64, 3, 7);
-  b.bn("stem.bn", 64);
-  std::size_t c = 64;
-  for (int blk = 0; blk < 4; ++blk) {
-    const std::string p = "branch." + std::to_string(blk);
-    b.conv(p + ".conv1", c, c, 3);
-    b.bn(p + ".bn1", c);
-    b.conv(p + ".conv2", c, c, 3);
-    b.bn(p + ".bn2", c);
-  }
-  b.linear("head.fc", c, 10);
-  return std::move(b.model);
-}
-
 std::vector<PaperModel> all_paper_models() {
   std::vector<PaperModel> models;
   models.push_back(resnet50());

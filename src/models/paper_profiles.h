@@ -61,14 +61,13 @@ PaperModel transformer_xl_base();
 PaperModel bert_base();
 PaperModel gpt2_small();
 
-// Synthetic BRANCHY profiles for the DAG-executor experiments
+// Synthetic BRANCHY profile for the DAG-executor experiments
 // (bench_dag_overlap). Layer names carry branch prefixes ("stem.",
-// "t0.", "t1.", "head." / "branch.", "skip.") so a harness can partition
-// the layout into independent backward chains by prefix. Not part of
-// all_paper_models(): their throughputs are plausible synthetics, not
-// paper-calibrated measurements.
+// "t0.", "t1.", "head.") so a harness can partition the layout into
+// independent backward chains by prefix. Not part of all_paper_models():
+// its throughputs are plausible synthetics, not paper-calibrated
+// measurements.
 PaperModel two_tower_net();
-PaperModel skipjoin_net();
 
 std::vector<PaperModel> all_paper_models();
 

@@ -296,41 +296,6 @@ void Embedding::collect_params(const std::string& prefix,
   out.push_back(&table_);
 }
 
-// ----------------------------------------------------------------- Dropout
-
-Dropout::Dropout(double p, util::Rng& rng) : p_(p), rng_(&rng) {
-  CGX_CHECK(p >= 0.0 && p < 1.0);
-}
-
-const tensor::Tensor& Dropout::forward(const tensor::Tensor& x, bool train) {
-  train_mode_ = train && p_ > 0.0;
-  output_ = x.clone();
-  if (!train_mode_) return output_;
-  mask_.assign(x.numel(), true);
-  const float scale = static_cast<float>(1.0 / (1.0 - p_));
-  auto out = output_.data();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (rng_->next_double() < p_) {
-      mask_[i] = false;
-      out[i] = 0.0f;
-    } else {
-      out[i] *= scale;
-    }
-  }
-  return output_;
-}
-
-const tensor::Tensor& Dropout::backward(const tensor::Tensor& grad_out) {
-  grad_in_ = grad_out.clone();
-  if (!train_mode_) return grad_in_;
-  const float scale = static_cast<float>(1.0 / (1.0 - p_));
-  auto g = grad_in_.data();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] = mask_[i] ? g[i] * scale : 0.0f;
-  }
-  return grad_in_;
-}
-
 // ----------------------------------------------------------------- Flatten
 
 const tensor::Tensor& Flatten::forward(const tensor::Tensor& x, bool train) {

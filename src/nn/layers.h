@@ -1,4 +1,4 @@
-// Basic layers: Linear, activations, LayerNorm, Embedding, Dropout,
+// Basic layers: Linear, activations, LayerNorm, Embedding,
 // Flatten. Convolution/pooling live in conv.h; attention in attention.h.
 #pragma once
 
@@ -112,24 +112,6 @@ class Embedding final : public Module {
   std::vector<std::size_t> last_ids_;
   tensor::Tensor output_;
   tensor::Tensor grad_in_;  // zeros; ids are not differentiable
-};
-
-// Inverted dropout; identity in eval mode.
-class Dropout final : public Module {
- public:
-  Dropout(double p, util::Rng& rng);
-
-  const tensor::Tensor& forward(const tensor::Tensor& x, bool train) override;
-  const tensor::Tensor& backward(const tensor::Tensor& grad_out) override;
-  std::string kind() const override { return "dropout"; }
-
- private:
-  double p_;
-  util::Rng* rng_;
-  std::vector<bool> mask_;
-  bool train_mode_ = false;
-  tensor::Tensor output_;
-  tensor::Tensor grad_in_;
 };
 
 // Collapses all dims after the batch dim.

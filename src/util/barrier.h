@@ -1,9 +1,11 @@
 // Reusable spin-free barrier for device-thread groups.
 //
 // std::barrier exists in C++20 but we need (a) a copy-free handle shared by
-// worker threads, and (b) `arrive_and_wait` that tolerates reuse across an
-// unbounded number of phases — this simple generation-counting barrier covers
-// both and keeps the dependency surface small.
+// worker threads, (b) `arrive_and_wait` that tolerates reuse across an
+// unbounded number of phases, (c) deadline-bounded arrival, and (d) a party
+// count that can change between phases (a membership that shrinks or grows)
+// — this simple generation-counting barrier covers all four and keeps the
+// dependency surface small.
 #pragma once
 
 #include <chrono>
@@ -24,15 +26,22 @@ class Barrier {
   Barrier(const Barrier&) = delete;
   Barrier& operator=(const Barrier&) = delete;
 
+  // Changes the party count of the open generation. Callers re-derive the
+  // count from shared state right before arriving, so a waiter parked with
+  // a stale count is released the moment a later arrival (with the
+  // corrected count) completes the population.
+  void set_parties(std::size_t parties) {
+    CGX_CHECK_GT(parties, 0u);
+    std::lock_guard<std::mutex> lock(mutex_);
+    parties_ = parties;
+    release_if_full_locked();
+  }
+
   void arrive_and_wait() {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::size_t my_generation = generation_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return;
-    }
+    ++arrived_;
+    if (release_if_full_locked()) return;
     cv_.wait(lock, [&] { return generation_ != my_generation; });
   }
 
@@ -46,25 +55,28 @@ class Barrier {
   bool arrive_and_wait_for(std::chrono::nanoseconds timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::size_t my_generation = generation_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return true;
-    }
+    ++arrived_;
+    if (release_if_full_locked()) return true;
     if (cv_.wait_for(lock, timeout,
                      [&] { return generation_ != my_generation; })) {
       return true;
     }
-    // Withdraw the arrival only if the generation is still open (a release
-    // between the wait's last predicate check and reacquiring the lock
-    // cannot happen — wait_for rechecks under the lock — but stay safe).
-    if (generation_ == my_generation && arrived_ > 0) --arrived_;
+    // wait_for rechecked the predicate under the lock, so the generation is
+    // still open and this caller's arrival is still counted.
+    --arrived_;
     return false;
   }
 
  private:
-  const std::size_t parties_;
+  bool release_if_full_locked() {
+    if (arrived_ < parties_) return false;
+    arrived_ = 0;
+    ++generation_;
+    cv_.notify_all();
+    return true;
+  }
+
+  std::size_t parties_;
   std::size_t arrived_ = 0;
   std::size_t generation_ = 0;
   std::mutex mutex_;

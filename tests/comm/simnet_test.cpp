@@ -220,11 +220,6 @@ TEST(SimNet, PeerDirectGatedToSameNode) {
   SimNetTransport single(shm, Topology::single_node(4), SimNetParams{});
   EXPECT_TRUE(single.supports_direct_exchange());
   EXPECT_TRUE(single.supports_direct_exchange(0, 3));
-
-  HierarchicalTransport hier(shm, Topology::grouped(4, 2));
-  EXPECT_FALSE(hier.supports_direct_exchange());
-  EXPECT_TRUE(hier.supports_direct_exchange(0, 1));
-  EXPECT_FALSE(hier.supports_direct_exchange(1, 2));
 }
 
 TEST(SimNet, DirectExchangeChargesTheIntraFabric) {

@@ -327,6 +327,80 @@ TEST(ElasticWorld8, MidStepCrashFinishesAllStepsAndReportsTheShrink) {
   }
 }
 
+TEST(ElasticWideWorld, World72RetriesARoundAndVotesOutRank70) {
+  // Beyond 64 ranks the ballot's dead set spans two u64 words. Round 0
+  // fails once (a transient retry over 72 parties); in round 1 rank 70 is
+  // gone, so the 71 survivors must agree on a dead set whose only bit sits
+  // in the second word, re-shard, and finish in lockstep.
+  constexpr int kWorld = 72;
+  constexpr int kVictim = 70;
+  tensor::LayerLayout layout;
+  layout.add_layer("w0", tensor::Shape{kWorld, 4});
+
+  comm::ShmTransport inner(kWorld);
+  comm::CommPolicy pol;
+  pol.timeout = 1000ms;
+  pol.checksums = true;
+  inner.set_policy(pol);
+  comm::FaultInjector injector(/*seed=*/11, kWorld);
+  injector.schedule_round_failure(/*round=*/0);
+  comm::FaultyTransport faulty(inner, injector);
+  comm::Membership membership(kWorld);
+
+  EngineOptions options;
+  options.scheme = comm::ReductionScheme::ScatterReduceAllgather;
+  options.max_round_retries = 1;
+  options.injector = &injector;
+  // 72 threads share a few cores: give agreement room for scheduling.
+  options.recovery_timeout = 10000ms;
+  CgxEngine engine(layout, CompressionConfig::cgx_default(), kWorld,
+                   options);
+
+  std::vector<std::vector<float>> grads(kWorld);
+  std::vector<StepReport> reports(kWorld, StepReport{});
+  std::vector<int> round0_attempts(kWorld, 0);
+  comm::run_world(
+      faulty,
+      [&](comm::Comm& comm) {
+        const int g = comm.global_rank();
+        util::Rng rng(6000 + static_cast<std::uint64_t>(g));
+        std::vector<float> grad;
+        for (int round = 0; round < 2; ++round) {
+          if (round == 1 && g == kVictim) {
+            throw comm::FaultInjectedError(g, "crash");
+          }
+          grad = rank_gradient(layout, g, round);
+          engine.allreduce(comm, grad, rng);
+          if (round == 0) {
+            round0_attempts[static_cast<std::size_t>(g)] =
+                engine.last_step_report(g).attempts;
+          }
+        }
+        grads[static_cast<std::size_t>(g)] = grad;
+        reports[static_cast<std::size_t>(g)] = engine.last_step_report(g);
+      },
+      comm::WorldOptions{&membership});
+
+  EXPECT_TRUE(membership.is_failed(kVictim));
+  EXPECT_EQ(membership.active_count(), kWorld - 1);
+  EXPECT_EQ(membership.epoch(), 1u);
+  EXPECT_EQ(membership.reshard_count(), 1u);
+  EXPECT_EQ(engine.active_world(), kWorld - 1);
+  ElasticOutcome out;
+  out.grads = grads;
+  out.failed.assign(kWorld, false);
+  out.failed[kVictim] = true;
+  expect_survivors_in_lockstep(out, kWorld, "world-72");
+  for (int r = 0; r < kWorld; ++r) {
+    EXPECT_EQ(round0_attempts[static_cast<std::size_t>(r)], 2)
+        << "rank " << r << ": round 0 should have retried once";
+    if (r == kVictim) continue;
+    EXPECT_TRUE(reports[static_cast<std::size_t>(r)].ok);
+    EXPECT_EQ(reports[static_cast<std::size_t>(r)].world, kWorld - 1);
+    EXPECT_EQ(reports[static_cast<std::size_t>(r)].departed, 1);
+  }
+}
+
 TEST(ElasticRejoin, RestoresTheFullWorldWithIdenticalParameters) {
   constexpr int kWorld = 8;
   constexpr std::uint64_t kSteps = 8;

@@ -168,6 +168,87 @@ TEST(EngineRoundRetry, FailedRoundIsRolledBackRetriedAndReported) {
   }
 }
 
+TEST(EngineRoundRetry, CorruptLastReceiveOnAFixedWorldIsRetriedNotFatal) {
+  // A corrupt frame on rank 1's LAST receive of a round used to leave rank 0
+  // already returned from the round, so rank 1's retry agreement found no
+  // peer and the step died. The commit fence makes the retry decision
+  // collective: rank 0 waits at the fence, times out, and both ranks retry
+  // the same round. Every retried round restarts from its snapshot with a
+  // deterministic codec (fp16), so the result must match a fault-free run
+  // bit for bit.
+  constexpr int kWorld = 2;
+  constexpr int kRounds = 40;
+  const auto layout = small_transformer_layout();
+  CompressionConfig config = CompressionConfig::cgx_default();
+  LayerCompression fp16;
+  fp16.method = Method::Fp16;
+  config.set_default(fp16);
+
+  EngineOptions options;
+  options.scheme = comm::ReductionScheme::ScatterReduceAllgather;
+  options.max_round_retries = 8;
+  // Generous agreement budget: a missed agreement deadline is fatal, so it
+  // must absorb scheduling noise on a loaded (or sanitized) test machine.
+  options.recovery_timeout = 2000ms;
+
+  comm::CommPolicy pol;
+  pol.timeout = 40ms;
+  pol.checksums = true;
+  pol.max_retries = 0;  // a corrupt frame surfaces as a CommError at once
+
+  const auto run = [&](comm::Transport& transport, int* retries) {
+    CgxEngine engine(layout, config, kWorld, options);
+    std::vector<std::vector<float>> result(kWorld);
+    std::vector<int> rank_retries(kWorld, 0);
+    comm::run_world(transport, [&](comm::Comm& comm) {
+      util::Rng rng(6000 + static_cast<std::uint64_t>(comm.rank()));
+      std::vector<float> grad;
+      for (int round = 0; round < kRounds; ++round) {
+        grad = rank_gradient(layout, comm.rank(), round);
+        engine.allreduce(comm, grad, rng);
+        rank_retries[static_cast<std::size_t>(comm.rank())] +=
+            engine.last_step_report(comm.rank()).retries;
+      }
+      result[static_cast<std::size_t>(comm.rank())] = grad;
+    });
+    *retries = rank_retries[0] + rank_retries[1];
+    return result;
+  };
+
+  comm::ShmTransport clean(kWorld);
+  clean.set_policy(pol);
+  int clean_retries = 0;
+  const auto want = run(clean, &clean_retries);
+
+  comm::FaultSpec spec;
+  spec.corrupt_prob = 0.08;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    comm::ShmTransport inner(kWorld);
+    comm::FaultInjector injector(seed, kWorld);
+    injector.set_link(0, 1, spec);
+    comm::FaultyTransport faulty(inner, injector);
+    faulty.set_policy(pol);
+    int retries = 0;
+    std::vector<std::vector<float>> got;
+    try {
+      got = run(faulty, &retries);
+    } catch (const comm::WorkerError& e) {
+      ADD_FAILURE() << "seed " << seed << ": " << e.what();
+      continue;
+    }
+    // The soak is vacuous unless the wire actually failed rounds.
+    EXPECT_GT(retries, 0) << "seed " << seed;
+    for (int r = 0; r < kWorld; ++r) {
+      const auto& g = got[static_cast<std::size_t>(r)];
+      const auto& w = want[static_cast<std::size_t>(r)];
+      ASSERT_EQ(g.size(), w.size());
+      EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size() * sizeof(float)), 0)
+          << "seed " << seed << " rank " << r
+          << ": retried rounds changed the reduced gradient";
+    }
+  }
+}
+
 TEST(EngineRoundRetry, RetriesDisabledPreservesFailFastSeedBehaviour) {
   // With max_round_retries at its default 0, the engine must not consult
   // the injector, snapshot anything, or swallow failures: a CommError from

@@ -2,7 +2,8 @@
 # The full local gate: configure, build, and test every preset we ship —
 #   default  (RelWithDebInfo, the tier-1 suite + alloc/fault labels)
 #   asan     (AddressSanitizer build of the same suite)
-#   tsan     (ThreadSanitizer; runs only tests labeled concurrency-sensitive)
+#   tsan     (ThreadSanitizer; runs the concurrency-sensitive, fault and
+#            elastic labels)
 #   bench-smoke (Release build; one tiny config of each BENCH_*-writing
 #                bench, JSON written under build-release/results; then a
 #                2-second perfbench run of every BENCHMARK.json workload,
@@ -64,9 +65,12 @@ print(" ".join(w["name"] for w in spec["workloads"]))')
   echo "==== [$preset] test"
   if [ "$preset" = tsan ]; then
     # Sanitizer-interposed allocators and slow full runs aren't the point
-    # here: run the concurrency-sensitive subset (includes the fault and
-    # memory-subsystem suites — the arena is shared rank/comm-thread state).
-    ctest --test-dir "$builddir" -L tsan --output-on-failure -j "$jobs"
+    # here: run the concurrency-sensitive subset (includes the
+    # memory-subsystem suite — the arena is shared rank/comm-thread state)
+    # plus the whole fault and elastic suites, which exercise the one
+    # recovery ladder every world runs.
+    ctest --test-dir "$builddir" -L "tsan|fault|elastic" --output-on-failure \
+      -j "$jobs"
   elif [ "$preset" = asan ]; then
     # Full suite once, plus the memory-subsystem label by itself: arena
     # carving, buffer growth, and the copy kernels are exactly where
